@@ -1,6 +1,6 @@
 """Smoke benchmark of the batch DesignEngine — writes ``BENCH_engine.json``.
 
-Twelve sections, all but ``tree_dp`` and ``fault_recovery`` on the shared
+Ten sections, all but ``tree_dp`` and ``fault_recovery`` on the shared
 protocol-store population:
 
 * **kernels** — the Table-1-style sweep (RIP + three size-10 baselines)
@@ -12,11 +12,6 @@ protocol-store population:
   warm (the repeated-sweep/service scenario: same nets and targets hit a
   warm cache and skip REFINE and the final DP pass entirely);
   verifies bit-identical design outcomes on vs. off.
-* **refine_warmstart** — warm-seeded vs. cold width *solves* on identical
-  harvested solver problems (the continuation threading of ISSUE 3,
-  isolated from REFINE's legitimately-divergent iterate paths): the warm
-  pass must be faster and spend fewer solver iterations, with identical
-  feasibility verdicts.
 * **fused_dp** — the fused expand-traverse-prune DP core + compiled
   analytical kernels (ISSUE 5) vs. the staged per-level core and scalar
   analytical oracles, on the full first-contact cold design (tau_min +
@@ -39,13 +34,10 @@ protocol-store population:
   final DP per (net, target)): bit-identical frontiers, >= 1.5x asserted,
   with nets/s, states/s and the per-level batch front-size histogram.
 * **tree_dp** — multi-sink routing trees on the compiled engine (ISSUE 8):
-  the fused per-edge/merge kernels and the cross-tree lockstep driver vs.
-  the Python reference tree DP, on an H-tree clock population — bit-identical
+  the fused per-edge/merge kernels vs. the Python reference tree DP, on an
+  H-tree clock population — bit-identical
   solutions (assignments, delay, width, feasibility) and per-solve
   statistics, >= 5x asserted for the fused core, with tree-DP states/sec.
-* **fast_mode** — the opt-in ``traverse_affine`` DP traversal vs. the
-  bit-exact kernel: speedup and maximum relative delay drift (documented
-  ~1 ulp per interval).
 * **technologies** — a multi-node population sweep through
   ``DesignEngine.design_population(technologies=[...])``, with per-node
   record/state counts so `EngineStatistics` trends are comparable across
@@ -227,121 +219,6 @@ def _rip_sweep(cases, rips, prepared):
                 )
             )
     return time.perf_counter() - started, outcomes
-
-
-def bench_refine_warmstart(store, protocol, technology):
-    """Warm-seeded vs. cold width solves on identical solver problems.
-
-    The old section timed whole warm vs. cold RIP sweeps — but REFINE's
-    iterate paths legitimately diverge (within the solver tolerance) under
-    warm starts, so the measurement confounded the seeding mechanism with
-    luck in the move loop and reported ~1.0x even though every seed reached
-    the solver.  This section isolates the mechanism: the *same* harvested
-    ``(net, positions, initial widths, target)`` problems are solved cold
-    and seeded with the converged multiplier of the nearest other target on
-    the same net (exactly what RIP's continuation threads), and the warm
-    pass must be faster *and* spend fewer solver iterations.
-    """
-    import math
-
-    from repro.analytical.width_solver import DualBisectionWidthSolver
-    from repro.core.solution import InsertionSolution
-
-    cases = store.cases(protocol)
-    solver = DualBisectionWidthSolver(technology)
-    min_width = technology.repeater.min_width
-    rip = Rip(technology, window_cache=False)
-
-    per_net_problems = []
-    for case in cases:
-        prepared = rip.prepare(case.net)
-        problems = []
-        for target in case.targets:
-            point = prepared.coarse_result.best_for_delay(target)
-            if point is None:
-                point = prepared.coarse_result.frontier.points[0]
-            solution = InsertionSolution.from_dp(point.solution)
-            positions = [case.net.legalize(p) for p in solution.positions]
-            reference = solver.solve(
-                case.net, positions, target, initial_widths=solution.widths
-            )
-            problems.append((case.net, positions, solution.widths, target, reference))
-        per_net_problems.append(problems)
-
-    def seed_for(problems, k):
-        # Nearest-in-log-target feasible record, skipping min-width-regime
-        # sources — RIP's RefineContinuation.seed_for discipline.
-        best = None
-        best_distance = float("inf")
-        for j, (_, _, _, target, reference) in enumerate(problems):
-            if j == k or not reference.feasible:
-                continue
-            if all(w <= min_width * (1.0 + 1e-9) for w in reference.widths):
-                continue
-            distance = abs(math.log(target) - math.log(problems[k][3]))
-            if distance < best_distance:
-                best_distance = distance
-                best = reference
-        return best.lagrange_multiplier if best is not None else None
-
-    flat = [
-        (net, positions, widths, target, seed_for(problems, k))
-        for problems in per_net_problems
-        for k, (net, positions, widths, target, _) in enumerate(problems)
-    ]
-
-    def solve_pass(seeded):
-        outcomes = []
-        started = time.perf_counter()
-        for net, positions, widths, target, seed in flat:
-            outcome = solver.solve(
-                net,
-                positions,
-                target,
-                initial_widths=widths,
-                initial_lambda=seed if seeded else None,
-            )
-            outcomes.append(outcome)
-        return time.perf_counter() - started, outcomes
-
-    cold_seconds, cold_outcomes = solve_pass(False)
-    warm_seconds, warm_outcomes = solve_pass(True)
-    for _ in range(2):  # best-of-3 timing; results are deterministic
-        cold_seconds = min(cold_seconds, solve_pass(False)[0])
-        warm_seconds = min(warm_seconds, solve_pass(True)[0])
-
-    feasibility_identical = [o.feasible for o in cold_outcomes] == [
-        o.feasible for o in warm_outcomes
-    ]
-    iterations_cold = sum(o.iterations for o in cold_outcomes)
-    iterations_warm = sum(o.iterations for o in warm_outcomes)
-    seeded_runs = sum(1 for problem in flat if problem[4] is not None)
-    max_delay_drift = max(
-        (
-            abs(c.delay - w.delay) / max(c.delay, 1e-30)
-            for c, w in zip(cold_outcomes, warm_outcomes)
-            if c.feasible
-        ),
-        default=0.0,
-    )
-    speedup = cold_seconds / warm_seconds if warm_seconds > 0 else float("inf")
-    print(
-        f"[refine-ws ] solver cold {cold_seconds * 1e3:6.1f}ms  warm "
-        f"{warm_seconds * 1e3:6.1f}ms  speedup {speedup:.2f}x  iterations "
-        f"{iterations_cold} -> {iterations_warm}  seeded "
-        f"{seeded_runs}/{len(flat)}  feasibility identical: {feasibility_identical}"
-    )
-    return {
-        "num_solves": len(flat),
-        "cold_wall_clock_seconds": cold_seconds,
-        "warm_wall_clock_seconds": warm_seconds,
-        "speedup": speedup,
-        "iterations_cold": iterations_cold,
-        "iterations_warm": iterations_warm,
-        "seeded_runs": seeded_runs,
-        "feasibility_identical": feasibility_identical,
-        "max_feasible_delay_drift": max_delay_drift,
-    }
 
 
 def bench_persistence(store, protocol, technology):
@@ -663,19 +540,18 @@ def bench_batched_dp(store, protocol, technology):
 
 
 def bench_tree_dp(technology):
-    """Fused + batched tree DP vs. the Python reference oracle on H-trees.
+    """Fused tree DP vs. the Python reference oracle on H-trees.
 
     The population is the deterministic H-tree clock workload
     (:func:`repro.engine.design.build_htree_cases`): every sink is
     equidistant from the driver, each case sweeps skew-aware shared targets
-    anchored at the tree's own ``tau_min``.  All three cores traverse the
+    anchored at the tree's own ``tau_min``.  Both cores walk the
     same :class:`~repro.engine.compiled.CompiledTree` edge schedules, so
     any divergence is a kernel bug, not a discretisation artefact: the
     per-solution signature (buffer assignments, worst-sink delay, total
     width, feasibility) and the per-solve statistics must be bit-for-bit
     identical, and the fused core must clear the >= 5x acceptance bar.
     """
-    from repro.engine.batched import BatchedDpDriver, TreeDpProblem
     from repro.engine.compiled import CompiledTree
     from repro.engine.design import build_htree_cases
     from repro.tree.buffering import TreePowerDp
@@ -719,49 +595,18 @@ def bench_tree_dp(technology):
             rows.extend(signature(solutions))
         return time.perf_counter() - started, rows, states
 
-    driver = BatchedDpDriver(technology)
-    problems = [
-        TreeDpProblem(
-            case.tree,
-            library,
-            case.targets,
-            compiled=compiled[case.tree.name],
-            site_pitch=case.site_pitch,
-            max_states_per_node=case.max_states_per_node,
-        )
-        for case in cases
-    ]
-
-    def batched_pass():
-        started = time.perf_counter()
-        results = driver.run_tree_power(problems)
-        return (
-            time.perf_counter() - started,
-            [row for solutions in results for row in signature(solutions)],
-            sum(solutions[0].statistics.states_generated for solutions in results),
-        )
-
     reference_seconds, reference_rows, reference_states = solve_pass("reference")
     fused_seconds, fused_rows, fused_states = solve_pass("fused")
-    batched_seconds, batched_rows, batched_states = batched_pass()
     for _ in range(2):  # best-of-3 timing; results are deterministic
         reference_seconds = min(reference_seconds, solve_pass("reference")[0])
         fused_seconds = min(fused_seconds, solve_pass("fused")[0])
-        batched_seconds = min(batched_seconds, batched_pass()[0])
 
-    identical = (
-        reference_rows == fused_rows == batched_rows
-        and reference_states == fused_states == batched_states
-    )
+    identical = reference_rows == fused_rows and reference_states == fused_states
     speedup = reference_seconds / fused_seconds if fused_seconds > 0 else float("inf")
-    batched_speedup = (
-        reference_seconds / batched_seconds if batched_seconds > 0 else float("inf")
-    )
     states_per_second = fused_states / fused_seconds if fused_seconds > 0 else 0.0
     print(
         f"[tree-dp   ] reference {reference_seconds:5.2f}s  fused "
-        f"{fused_seconds:5.2f}s ({speedup:.1f}x)  batched {batched_seconds:5.2f}s "
-        f"({batched_speedup:.1f}x)  {fused_states:,} states  "
+        f"{fused_seconds:5.2f}s ({speedup:.1f}x)  {fused_states:,} states  "
         f"{states_per_second:,.0f} states/s  identical: {identical}"
     )
     return {
@@ -770,52 +615,10 @@ def bench_tree_dp(technology):
         "num_solutions": len(fused_rows),
         "reference_wall_clock_seconds": reference_seconds,
         "fused_wall_clock_seconds": fused_seconds,
-        "batched_wall_clock_seconds": batched_seconds,
         "speedup": speedup,
-        "batched_speedup": batched_speedup,
         "states_generated": fused_states,
         "states_per_second": states_per_second,
         "records_identical": identical,
-    }
-
-
-def bench_fast_mode(store, protocol, technology):
-    """Exact vs. affine wire traversal on the baseline DP sweep."""
-    cases = store.cases(protocol)
-    library = RepeaterLibrary.uniform(10.0, 400.0, 10.0)
-
-    def sweep(traversal):
-        dp = PowerAwareDp(technology, traversal=traversal)
-        started = time.perf_counter()
-        results = {case.net.name: dp.run(case.net, library, case.candidates) for case in cases}
-        return time.perf_counter() - started, results
-
-    exact_seconds, exact_results = sweep("exact")
-    affine_seconds, affine_results = sweep("affine")
-
-    max_drift = 0.0
-    widths_identical = True
-    for case in cases:
-        exact_points = exact_results[case.net.name].frontier.points
-        affine_points = affine_results[case.net.name].frontier.points
-        if len(exact_points) != len(affine_points):
-            widths_identical = False
-            continue
-        for a, b in zip(exact_points, affine_points):
-            widths_identical &= a.total_width == b.total_width
-            max_drift = max(max_drift, abs(a.delay - b.delay) / a.delay)
-    speedup = exact_seconds / affine_seconds if affine_seconds > 0 else float("inf")
-    print(
-        f"[fast-mode ] exact {exact_seconds:5.2f}s  affine {affine_seconds:5.2f}s  "
-        f"speedup {speedup:.2f}x  max delay drift {max_drift:.2e}  "
-        f"widths identical: {widths_identical}"
-    )
-    return {
-        "exact_wall_clock_seconds": exact_seconds,
-        "affine_wall_clock_seconds": affine_seconds,
-        "speedup": speedup,
-        "max_relative_delay_drift": max_drift,
-        "widths_identical": widths_identical,
     }
 
 
@@ -1086,13 +889,11 @@ def run(num_nets, targets_per_net, workers, tech_names, output):
 
     kernels = bench_kernels(store, protocol, technology, workers)
     window_cache = bench_window_cache(store, protocol, technology)
-    refine_warmstart = bench_refine_warmstart(store, protocol, technology)
     persistence = bench_persistence(store, protocol, technology)
     cold_design = bench_cold_design(store, protocol, technology)
     fused_dp = bench_fused_dp(store, protocol, technology)
     batched_dp = bench_batched_dp(store, protocol, technology)
     tree_dp = bench_tree_dp(technology)
-    fast_mode = bench_fast_mode(store, protocol, technology)
     technologies = bench_technologies(store, protocol, technology, workers, tech_names)
     service = bench_service(store, protocol, technology)
     fault_recovery = bench_fault_recovery(technology)
@@ -1106,24 +907,14 @@ def run(num_nets, targets_per_net, workers, tech_names, output):
         "workers": workers,
         "kernels": kernels,
         "window_cache": window_cache,
-        "refine_warmstart": refine_warmstart,
         "persistence": persistence,
         "cold_design": cold_design,
         "fused_dp": fused_dp,
         "batched_dp": batched_dp,
         "tree_dp": tree_dp,
-        "fast_mode": fast_mode,
         "technologies": technologies,
         "service": service,
         "fault_recovery": fault_recovery,
-        # Legacy top-level aliases so existing trend tooling keeps parsing.
-        "num_designs": kernels["num_designs"],
-        "vectorized_wall_clock_seconds": kernels["vectorized_wall_clock_seconds"],
-        "reference_wall_clock_seconds": kernels["reference_wall_clock_seconds"],
-        "speedup": kernels["speedup"],
-        "states_generated": kernels["states_generated"],
-        "states_per_second": kernels["states_per_second"],
-        "records_identical": kernels["records_identical"],
         "python": platform.python_version(),
         "platform": platform.platform(),
     }
@@ -1147,19 +938,6 @@ def run(num_nets, targets_per_net, workers, tech_names, output):
             "first-contact compiled REFINE below the 2x acceptance bar: "
             f"{cold_design['refine_speedup']:.2f}x"
         )
-    if not refine_warmstart["feasibility_identical"]:
-        raise SystemExit("warm-seeded width solves changed a feasibility verdict")
-    if refine_warmstart["speedup"] <= 1.0:
-        raise SystemExit(
-            "warm-seeded width solves below the >1.0 bar: "
-            f"{refine_warmstart['speedup']:.2f}x"
-        )
-    if refine_warmstart["iterations_warm"] >= refine_warmstart["iterations_cold"]:
-        raise SystemExit(
-            "warm-seeded width solves did not reduce solver iterations: "
-            f"{refine_warmstart['iterations_cold']} -> "
-            f"{refine_warmstart['iterations_warm']}"
-        )
     if not fused_dp["records_identical"]:
         raise SystemExit("fused and staged DP results diverged")
     if fused_dp["speedup"] < 2.0:
@@ -1181,7 +959,7 @@ def run(num_nets, targets_per_net, workers, tech_names, output):
             f"{batched_dp['speedup']:.2f}x"
         )
     if not tree_dp["records_identical"]:
-        raise SystemExit("fused/batched tree DP diverged from the reference oracle")
+        raise SystemExit("fused tree DP diverged from the reference oracle")
     if tree_dp["speedup"] < 5.0:
         raise SystemExit(
             "fused tree DP below the 5x acceptance bar: "

@@ -1,7 +1,7 @@
 """R4 — determinism (``determinism``).
 
 Results must be a pure function of (net, technology, config, seed): the
-record-identity gates in CI (``records_identical``) and the warm-start /
+record-identity gates in CI (``records_identical``) and the memo /
 persistent-cache layers all assume a rerun reproduces bit-identical
 records.  Outside :mod:`repro.utils.rng` (the one sanctioned entropy
 source) this rule bans:

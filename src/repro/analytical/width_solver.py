@@ -37,29 +37,13 @@ bisection step each re-walk the net's piece list through
 ops on the precomputed per-stage coefficients — **bit-for-bit** equal to
 the walked path, which ``evaluator="walked"`` keeps selectable as the
 equivalence oracle (like the DP's ``kernel="reference"``).
-
-Warm starts
------------
-Both solvers accept an ``initial_lambda`` seed in addition to the
-``initial_widths`` they always supported.  With a seed the dual solver
-brackets the multiplier *around the seed* (geometric expansion by a fixed
-factor) instead of spanning twelve decades from scratch, which turns the
-outer bisection into a short continuation when the caller already holds the
-converged multiplier of a nearby problem — REFINE's inner iterations and
-the multi-target RIP sweep both do.  The warm path shares the cold path's
-feasibility pre-check (which consumes only the starting widths, never the
-seed) and falls back to the cold bracket whenever the seed turns out to be
-useless — so for the same ``initial_widths`` a warm and a cold solve reach
-the byte-identical feasibility verdict, and their converged widths/delay
-agree within the solver tolerance (the cold start remains the equivalence
-oracle — see ``tests/test_refine_warmstart.py``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -213,17 +197,11 @@ class DualBisectionWidthSolver:
         timing_target: float,
         *,
         initial_widths: Optional[Sequence[float]] = None,
-        initial_lambda: Optional[float] = None,
     ) -> WidthSolution:
         """Compute the power-optimal continuous widths at ``positions``.
 
-        ``initial_lambda`` is an optional warm-start seed for the timing
-        multiplier (typically the converged multiplier of a nearby problem);
-        the bisection bracket is then built around the seed instead of
-        spanning twelve decades.  A useless seed silently falls back to the
-        cold bracket, so the result is always within the solver tolerance of
-        a cold solve and the feasibility verdict is decided by the same
-        pre-check on both paths.
+        ``initial_widths`` starts the Gauss-Seidel sweeps (default: the
+        midpoint of the width range).
         """
         require_positive(timing_target, "timing_target")
         n = len(positions)
@@ -254,10 +232,8 @@ class DualBisectionWidthSolver:
         require(len(start) == n, "initial_widths must match the number of positions")
 
         # Delay at the "infinite lambda" end (delay-optimal widths) tells us
-        # whether the target is achievable at all for these positions.  The
-        # warm path shares this pre-check, so warm starts can never flip the
-        # feasibility verdict.
-        lambda_high = self._initial_lambda(evaluation, start) * 1e6
+        # whether the target is achievable at all for these positions.
+        lambda_high = self._lambda_estimate(evaluation, start) * 1e6
         widths_fast = self._fixed_point(lambda_high, stage_resistance, stage_capacitance, net, start)
         delay_fast = net_delay(widths_fast)
         if delay_fast > timing_target * (1.0 + 1e-12):
@@ -270,54 +246,31 @@ class DualBisectionWidthSolver:
                 iterations=0,
             )
 
-        bracket: Optional[Tuple[float, float, np.ndarray, int]] = None
-        if (
-            initial_lambda is not None
-            and np.isfinite(initial_lambda)
-            and initial_lambda > 0.0
-        ):
-            bracket = self._bracket_from_seed(
-                float(initial_lambda),
-                lambda_high,
-                stage_resistance,
-                stage_capacitance,
-                net,
-                net_delay,
-                start,
-                timing_target,
+        # Bracket: find a small lambda whose delay exceeds the target.
+        lambda_low = self._lambda_estimate(evaluation, start) * 1e-6
+        widths = self._fixed_point(lambda_low, stage_resistance, stage_capacitance, net, start)
+        delay_low = net_delay(widths)
+        guard = 0
+        while delay_low <= timing_target and guard < 60:
+            lambda_low *= 0.1
+            widths = self._fixed_point(
+                lambda_low, stage_resistance, stage_capacitance, net, widths
             )
-
-        if bracket is None:
-            # Cold bracket: find a small lambda whose delay exceeds the target.
-            lambda_low = self._initial_lambda(evaluation, start) * 1e-6
-            widths_low = self._fixed_point(
-                lambda_low, stage_resistance, stage_capacitance, net, start
+            delay_low = net_delay(widths)
+            guard += 1
+        if delay_low <= timing_target:
+            # Even with vanishing widths the net meets timing: the cheapest
+            # legal design is every repeater at its minimum width.
+            widths_min = np.full(n, self._min_width)
+            delay_min = net_delay(widths_min)
+            return WidthSolution(
+                widths=tuple(widths_min),
+                lagrange_multiplier=lambda_low,
+                delay=delay_min,
+                total_width=float(np.sum(widths_min)),
+                feasible=delay_min <= timing_target,
+                iterations=guard,
             )
-            delay_low = net_delay(widths_low)
-            guard = 0
-            while delay_low <= timing_target and guard < 60:
-                lambda_low *= 0.1
-                widths_low = self._fixed_point(
-                    lambda_low, stage_resistance, stage_capacitance, net, widths_low
-                )
-                delay_low = net_delay(widths_low)
-                guard += 1
-            if delay_low <= timing_target:
-                # Even with vanishing widths the net meets timing: the cheapest
-                # legal design is every repeater at its minimum width.
-                widths_min = np.full(n, self._min_width)
-                delay_min = net_delay(widths_min)
-                return WidthSolution(
-                    widths=tuple(widths_min),
-                    lagrange_multiplier=lambda_low,
-                    delay=delay_min,
-                    total_width=float(np.sum(widths_min)),
-                    feasible=delay_min <= timing_target,
-                    iterations=guard,
-                )
-            bracket = (lambda_low, lambda_high, widths_low, guard)
-
-        lambda_low, lambda_high, widths, pre_iterations = bracket
 
         # Bisection on log(lambda): delay is monotone decreasing in lambda.
         bisection_steps = 0
@@ -345,80 +298,11 @@ class DualBisectionWidthSolver:
             delay=delay_final,
             total_width=float(np.sum(widths)),
             feasible=delay_final <= timing_target * (1.0 + 1e-9),
-            iterations=pre_iterations + bisection_steps,
+            iterations=guard + bisection_steps,
         )
 
-    def _bracket_from_seed(
-        self,
-        seed: float,
-        lambda_high: float,
-        stage_resistance: np.ndarray,
-        stage_capacitance: np.ndarray,
-        net: TwoPinNet,
-        net_delay: Callable[[Sequence[float]], float],
-        start: np.ndarray,
-        timing_target: float,
-    ) -> Optional[Tuple[float, float, np.ndarray, int]]:
-        """Bracket the timing multiplier around a warm-start seed.
-
-        The old implementation expanded geometrically from the seed by a
-        factor of 4 per evaluation (up to 14) — on realistic continuations
-        that costs *more* fixed-point evaluations than the whole cold solve
-        it replaces (the ``refine_warmstart`` bench regression).  The seed
-        probe itself already decides everything cheaply:
-
-        * seed on the infeasible side — one factor-8 up-probe looks for a
-          tight sub-decade bracket around the seed;
-        * seed on the feasible side — escalating down-probes (÷8, then
-          ÷512) look for the infeasible end; a tight hit gives a
-          sub-decade bracket, so the bisection converges in a step or two.
-
-        Every returned bracket has **both ends evaluated by this solve**
-        (feasible high end, infeasible low end), so the warm path carries
-        no verdict exposure beyond the cold path's own.  Returns
-        ``(lambda_low, lambda_high, widths, evaluations)`` or ``None``
-        when no such bracket is found near the seed — the caller then
-        falls back to the cold bracket, so a useless seed costs at most
-        three evaluations and can never change the outcome class.
-        """
-        lam = float(min(max(seed, 1e-300), lambda_high))
-        widths = self._fixed_point(lam, stage_resistance, stage_capacitance, net, start)
-        delay = net_delay(widths)
-        evaluations = 1
-        if delay > timing_target:
-            # Infeasible side: one tight up-probe; a seed whose crossing is
-            # not within a decade (or that sits against lambda_high) is a
-            # poor continuation anchor — let the cold bracket decide.
-            upper = lam * 8.0
-            if upper < lambda_high:
-                widths_up = self._fixed_point(
-                    upper, stage_resistance, stage_capacitance, net, widths
-                )
-                delay_up = net_delay(widths_up)
-                evaluations += 1
-                if delay_up <= timing_target:
-                    return lam, upper, widths_up, evaluations
-            return None
-        # Feasible side: escalating down-probes for the infeasible end.
-        high = lam
-        lower = lam
-        for expansion in (8.0, 512.0):
-            lower = lower / expansion
-            next_widths = self._fixed_point(
-                lower, stage_resistance, stage_capacitance, net, widths
-            )
-            next_delay = net_delay(next_widths)
-            evaluations += 1
-            if next_delay > timing_target:
-                return lower, high, next_widths, evaluations
-            high = lower
-            widths = next_widths
-        # Timing is met many decades below the seed — likely the min-width
-        # regime, which the cold path detects and reports properly.
-        return None
-
     # ------------------------------------------------------------------ #
-    def _initial_lambda(self, evaluation, widths: np.ndarray) -> float:
+    def _lambda_estimate(self, evaluation, widths: np.ndarray) -> float:
         """Order-of-magnitude estimate of lambda from the width gradient."""
         gradient = evaluation.delay_width_gradient(widths)
         scale = float(np.mean(np.abs(gradient)))
@@ -592,15 +476,10 @@ class NewtonKktWidthSolver:
         timing_target: float,
         *,
         initial_widths: Optional[Sequence[float]] = None,
-        initial_lambda: Optional[float] = None,
     ) -> WidthSolution:
         """Solve the KKT system; falls back to the dual solution if Newton diverges."""
         warm = self._fallback.solve(
-            net,
-            positions,
-            timing_target,
-            initial_widths=initial_widths,
-            initial_lambda=initial_lambda,
+            net, positions, timing_target, initial_widths=initial_widths
         )
         n = len(positions)
         if n == 0 or not warm.feasible:

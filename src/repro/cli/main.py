@@ -56,6 +56,7 @@ from repro.net.generator import NetGenerationConfig, RandomNetGenerator
 from repro.net.io import load_net, save_net
 from repro.tech.library import RepeaterLibrary
 from repro.tech.nodes import available_nodes, get_node
+from repro.tree.buffering import TREE_CORES
 from repro.utils.units import from_microns, from_nanoseconds, to_nanoseconds
 
 
@@ -176,14 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--tree-core",
-        choices=("reference", "fused", "batched"),
+        choices=TREE_CORES,
         default="fused",
         help=(
             "tree DP core of every 'tree-g*' method: 'fused' (default) runs "
             "compiled per-edge site levels and vectorized branch merges on "
-            "the scratch arena; 'reference' is the Python oracle; 'batched' "
-            "locksteps the edges of many trees through segment-id kernels — "
-            "all three bit-for-bit identical"
+            "the scratch arena; 'reference' is the Python oracle — both "
+            "bit-for-bit identical"
         ),
     )
     sweep.add_argument(
@@ -218,16 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(net population + tau_min) plus, under <dir>/wincache, the "
             "final-DP frontiers and REFINE continuation records, so a "
             "repeated sweep skips REFINE and the final DP outright"
-        ),
-    )
-    sweep.add_argument(
-        "--traversal",
-        choices=("exact", "affine"),
-        default="exact",
-        help=(
-            "wire-traversal kernel of every DP pass: 'exact' is bit-exact, "
-            "'affine' is the ~1 ulp fast mode for throughput-over-exactness "
-            "service workloads"
         ),
     )
     sweep.add_argument(
@@ -612,7 +602,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _parse_methods(
     spec: str,
-    traversal: str = "exact",
     refine_evaluator: str = "compiled",
     dp_core: str = "fused",
     refine_analytical: str = "vectorized",
@@ -628,8 +617,6 @@ def _parse_methods(
             continue
         if entry == "rip":
             overrides = {}
-            if traversal != "exact":
-                overrides["traversal"] = traversal
             if dp_core != "fused":
                 overrides["dp_core"] = dp_core
             refine_overrides = {}
@@ -650,7 +637,6 @@ def _parse_methods(
                 MethodSpec.dp_baseline(
                     entry,
                     RepeaterLibrary.uniform(10.0, 400.0, granularity),
-                    traversal=traversal,
                     core=dp_core,
                 )
             )
@@ -688,7 +674,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         methods = _parse_methods(
             method_spec,
-            traversal=args.traversal,
             refine_evaluator=args.refine_evaluator,
             dp_core=args.dp_core,
             refine_analytical=args.refine_analytical,

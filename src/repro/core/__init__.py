@@ -17,7 +17,6 @@ from repro.core.refine import (
     RefineConfig,
     RefineContinuation,
     RefineResult,
-    RefineSeed,
 )
 from repro.core.rip import (
     ContinuationStatistics,
@@ -36,7 +35,6 @@ __all__ = [
     "RefineConfig",
     "RefineContinuation",
     "RefineResult",
-    "RefineSeed",
     "ContinuationStatistics",
     "InfeasibleNetError",
     "PreparedNet",

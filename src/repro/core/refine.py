@@ -16,35 +16,24 @@ iteration
 Moves that would land a repeater inside a forbidden zone, cross a
 neighbouring repeater, or leave the net are suppressed.
 
-Warm starts
------------
-REFINE is the dominant cost of the hybrid RIP flow, and almost all of that
-cost is the width solver's outer lambda bisection.  When
-``RefineConfig.warm_start`` is on (the default) two continuations cut it
-down:
+Repeated queries
+----------------
+Every inner width solve starts from the previous iterate's widths (the
+positions moved by one step, so the widths barely change).  Repeated
+traffic on the same net is answered by the exact-hit memo: RIP keeps a
+per-net :class:`RefineContinuation` that returns the recorded
+:class:`RefineResult` of a byte-identical ``(net, timing target, initial
+solution)`` query verbatim, and :class:`RefineRecordStore` persists those
+records next to the window cache's frontier tier so restarts replay them.
 
-* every *inner* width solve is seeded with the previous iterate's
-  ``(widths, lambda)`` — the positions moved by one step, so the multiplier
-  barely changes;
-* the *initial* solve can be seeded by the caller via
-  :class:`RefineSeed` — RIP threads the converged solution of the nearest
-  previously-designed timing target through a per-net
-  :class:`RefineContinuation` record.
-
-Warm and cold runs agree within the width solver's tolerance and always
-reach the same feasibility verdict (the solver's feasibility pre-check is
-shared by both paths); ``warm_start=False`` restores the literal cold
-behaviour and serves as the equivalence oracle in the tests.
-
-The remaining *cold* (first-contact) cost is the solver's Elmore
-evaluations themselves; ``RefineConfig.evaluator`` selects the compiled
-per-(net, positions) evaluation (default, bit-for-bit equal) or the walked
-oracle — see :mod:`repro.delay.compiled`.
+Most of a computed run's cost is the solver's Elmore evaluations;
+``RefineConfig.evaluator`` selects the compiled per-(net, positions)
+evaluation (default, bit-for-bit equal) or the walked oracle — see
+:mod:`repro.delay.compiled`.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 import os
 from collections import OrderedDict
@@ -98,11 +87,6 @@ class RefineConfig:
     max_zone_crossing_length:
         Only hop across zones shorter than this (meters); ``None`` means any
         zone may be crossed.
-    warm_start:
-        Seed every inner width solve with the previous iterate's multiplier
-        and honour caller-provided :class:`RefineSeed`s (the default).
-        ``False`` restores the literal cold-start behaviour — the
-        equivalence oracle of the warm-start tests.
     evaluator:
         Elmore evaluation mode of the default width solver:
         ``"compiled"`` (the default) builds one
@@ -133,7 +117,6 @@ class RefineConfig:
     keep_best: bool = True
     allow_zone_crossing: bool = True
     max_zone_crossing_length: Optional[float] = None
-    warm_start: bool = True
     evaluator: str = "compiled"
     analytical: str = "vectorized"
 
@@ -150,26 +133,6 @@ class RefineConfig:
             self.analytical in SWEEP_MODES,
             f"unknown analytical mode {self.analytical!r}",
         )
-
-
-@dataclass(frozen=True)
-class RefineSeed:
-    """Warm-start seed for a REFINE run (see :class:`RefineContinuation`).
-
-    Deliberately *only* the timing multiplier: the starting widths of the
-    first width solve are left exactly as the cold path would choose them,
-    so the solver's feasibility pre-check (which consumes the starting
-    widths) is byte-identical warm and cold and the REFINE feasibility
-    verdict — decided by that first solve — can never change.
-
-    Attributes
-    ----------
-    lagrange_multiplier:
-        Converged timing multiplier of a nearby problem; seeds the width
-        solver's bisection bracket.
-    """
-
-    lagrange_multiplier: float
 
 
 @dataclass(frozen=True)
@@ -210,19 +173,11 @@ class RefineResult:
 class RefineContinuation:
     """Bounded per-net memo of converged REFINE runs.
 
-    Two services, both in support of repeated / multi-target traffic on the
-    same net:
-
-    * :meth:`exact` returns the recorded :class:`RefineResult` of a
-      previously designed ``(timing target, initial solution)`` pair
-      verbatim — repeated identical queries are idempotent and free;
-    * :meth:`seed_for` returns a :class:`RefineSeed` built from the
-      recorded run whose timing target is nearest (in log space) to the new
-      one — adjacent targets then warm-start the width solver instead of
-      re-bisecting from scratch.
-
-    Entries are LRU-bounded.  Infeasible runs are recorded (so their exact
-    repeats stay idempotent) but never used for seeding.
+    :meth:`exact` returns the recorded :class:`RefineResult` of a previously
+    designed ``(timing target, initial solution)`` pair verbatim, so
+    repeated identical queries are idempotent and free.  Entries are
+    LRU-bounded; infeasible runs are recorded too, so their exact repeats
+    stay idempotent.
     """
 
     def __init__(self, max_entries: int = 128) -> None:
@@ -230,7 +185,6 @@ class RefineContinuation:
         self._max_entries = max_entries
         self._results: "OrderedDict[tuple, RefineResult]" = OrderedDict()
         self.exact_hits = 0
-        self.seeded_runs = 0
         self.cold_runs = 0
 
     def __len__(self) -> int:
@@ -251,45 +205,10 @@ class RefineContinuation:
             self._results.move_to_end(key)
         return cached
 
-    def seed_for(
-        self, timing_target: float, *, min_width: Optional[float] = None
-    ) -> Optional[RefineSeed]:
-        """Seed from the feasible recorded run nearest (in log space, since
-        the multiplier scales roughly with the target's order of magnitude)
-        to ``timing_target``.
-
-        ``min_width`` marks the solver's width floor: recorded runs whose
-        widths all sit on it were in the min-width regime — the target was
-        loose enough that the cheapest legal design meets it — which the
-        cold solver detects in a couple of evaluations, so seeding a
-        bracket there only adds probes (the ``refine_warmstart``
-        regression).  Such records are skipped as seed sources (their
-        multiplier is a regime artefact, not a continuation anchor).
-        """
-        import math
-
-        best: Optional[RefineResult] = None
-        best_distance = float("inf")
-        log_target = math.log(timing_target)
-        for (target, _positions, _widths), result in self._results.items():
-            if not result.feasible:
-                continue
-            if min_width is not None and result.solution.widths:
-                floor = min_width * (1.0 + 1e-9)
-                if all(width <= floor for width in result.solution.widths):
-                    continue
-            distance = abs(math.log(target) - log_target)
-            if distance < best_distance:
-                best_distance = distance
-                best = result
-        if best is None:
-            return None
-        return RefineSeed(lagrange_multiplier=best.lagrange_multiplier)
-
     def record(
         self, timing_target: float, initial: InsertionSolution, result: RefineResult
     ) -> None:
-        """Record a converged run for later exact reuse / seeding."""
+        """Record a converged run for later exact reuse."""
         self._results[self._key(timing_target, initial)] = result
         while len(self._results) > self._max_entries:
             self._results.popitem(last=False)
@@ -510,44 +429,11 @@ class Refine:
             evaluator=self._config.evaluator,
             sweep=self._config.analytical,
         )
-        # Custom solvers predating the warm-start refactor may not accept
-        # the ``initial_lambda`` keyword; detect once and degrade to cold
-        # calls for them.
-        try:
-            parameters = inspect.signature(self._solver.solve).parameters
-            self._solver_accepts_lambda = "initial_lambda" in parameters
-        except (TypeError, ValueError):  # pragma: no cover - exotic callables
-            self._solver_accepts_lambda = False
 
     @property
     def config(self) -> RefineConfig:
         """The REFINE configuration in use."""
         return self._config
-
-    def _solve(
-        self,
-        net: TwoPinNet,
-        positions: Sequence[float],
-        timing_target: float,
-        initial_widths: Optional[Sequence[float]],
-        initial_lambda: Optional[float],
-    ) -> WidthSolution:
-        """One width solve, warm-seeded when configured and supported."""
-        if (
-            initial_lambda is not None
-            and self._config.warm_start
-            and self._solver_accepts_lambda
-        ):
-            return self._solver.solve(
-                net,
-                positions,
-                timing_target,
-                initial_widths=initial_widths,
-                initial_lambda=initial_lambda,
-            )
-        return self._solver.solve(
-            net, positions, timing_target, initial_widths=initial_widths
-        )
 
     # ------------------------------------------------------------------ #
     def run(
@@ -555,14 +441,8 @@ class Refine:
         net: TwoPinNet,
         initial: InsertionSolution,
         timing_target: float,
-        *,
-        seed: Optional[RefineSeed] = None,
     ) -> RefineResult:
-        """Refine ``initial`` towards minimum total width under ``timing_target``.
-
-        ``seed`` warm-starts the first width solve (ignored when
-        ``config.warm_start`` is off); see :class:`RefineSeed`.
-        """
+        """Refine ``initial`` towards minimum total width under ``timing_target``."""
         require_positive(timing_target, "timing_target")
         config = self._config
 
@@ -577,16 +457,8 @@ class Refine:
                 history=[0.0],
             )
 
-        # Only the multiplier is seeded; the starting widths stay exactly
-        # what the cold path would use, so the solver's feasibility
-        # pre-check — and with it this run's feasibility verdict — is
-        # byte-identical with and without the seed.
-        initial_lambda: Optional[float] = None
-        if config.warm_start and seed is not None:
-            initial_lambda = seed.lagrange_multiplier
-
-        width_solution = self._solve(
-            net, positions, timing_target, initial.widths, initial_lambda
+        width_solution = self._solver.solve(
+            net, positions, timing_target, initial_widths=initial.widths
         )
         history: List[float] = [width_solution.total_width]
         if not width_solution.feasible:
@@ -603,12 +475,8 @@ class Refine:
                 break
             moves_applied += moves
 
-            candidate = self._solve(
-                net,
-                positions,
-                timing_target,
-                width_solution.widths,
-                width_solution.lagrange_multiplier,
+            candidate = self._solver.solve(
+                net, positions, timing_target, initial_widths=width_solution.widths
             )
             if not candidate.feasible:
                 # Undo the move batch: position movement made the target

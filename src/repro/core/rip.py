@@ -55,8 +55,9 @@ from repro.utils.validation import require, require_positive
 def refine_context_fingerprint(technology: Technology, refine: RefineConfig) -> str:
     """Fingerprint of everything a REFINE result depends on besides the
     ``(net, timing target, initial solution)`` triple: the technology
-    constants and the full REFINE configuration (warm and cold runs differ
-    within the solver tolerance, so they must not share disk records)."""
+    constants and the full REFINE configuration (every knob that could
+    steer a REFINE result joins the key, so differently configured runs
+    never share disk records)."""
     import dataclasses
 
     from repro.engine.cache import technology_fingerprint  # heavy module; defer
@@ -127,28 +128,19 @@ class RipConfig:
     location_pitch:
         Pitch of those extra positions, meters (paper: 50 µm).
     refine:
-        Configuration of the embedded REFINE algorithm.  Its ``warm_start``
-        flag (on by default) also controls the per-net
-        :class:`~repro.core.refine.RefineContinuation` threading: the
-        converged solution of the nearest previously-designed timing target
-        seeds each new REFINE run, and byte-identical repeated queries are
-        answered from the record outright.  Its ``evaluator`` flag selects
-        the compiled per-(net, positions) Elmore evaluation of the width
-        solver (default; bit-for-bit equal to the walked oracle) and joins
-        the dp-context fingerprint of the window cache.
+        Configuration of the embedded REFINE algorithm.  Byte-identical
+        repeated REFINE queries are answered from the per-net
+        :class:`~repro.core.refine.RefineContinuation` record outright.
+        Its ``evaluator`` flag selects the compiled per-(net, positions)
+        Elmore evaluation of the width solver (default; bit-for-bit equal
+        to the walked oracle) and joins the dp-context fingerprint of the
+        window cache.
     pruning:
         Dominance-pruning configuration of both DP passes.
     enable_fallback:
         When the final DP cannot meet the timing target with ``B``/``S``
         (rare, caused by rounding), merge the coarse library and coarse
         candidates back in and re-run once.
-    traversal:
-        Wire-traversal kernel of both DP passes: ``"exact"`` (bit-for-bit
-        reproduction of the legacy per-piece arithmetic, the default) or
-        ``"affine"`` (the single-expression fast mode of
-        :meth:`~repro.engine.compiled.CompiledNet.traverse_affine`, ~1 ulp
-        of re-association drift — for throughput-over-exactness service
-        workloads).
     dp_core:
         Inner-loop implementation of both DP passes: ``"fused"`` (the
         default) runs every level as one fused expand-traverse-prune
@@ -171,7 +163,6 @@ class RipConfig:
     refine: RefineConfig = field(default_factory=RefineConfig)
     pruning: PruningConfig = field(default_factory=PruningConfig)
     enable_fallback: bool = True
-    traversal: str = "exact"
     dp_core: str = "fused"
 
     def __post_init__(self) -> None:
@@ -180,10 +171,6 @@ class RipConfig:
         require(self.library_neighbor_steps >= 0, "library_neighbor_steps must be >= 0")
         require(self.location_window >= 0, "location_window must be >= 0")
         require_positive(self.location_pitch, "location_pitch")
-        require(
-            self.traversal in ("exact", "affine"),
-            f"unknown traversal mode {self.traversal!r}",
-        )
         require(
             self.dp_core in ("fused", "staged", "batched"),
             f"unknown DP core {self.dp_core!r}",
@@ -212,14 +199,13 @@ class ContinuationStatistics:
     """Aggregate instrumentation of one inserter's REFINE continuations."""
 
     exact_hits: int
-    seeded_runs: int
     cold_runs: int
     nets: int
 
     @property
     def runs(self) -> int:
         """Total REFINE queries answered (memoized or computed)."""
-        return self.exact_hits + self.seeded_runs + self.cold_runs
+        return self.exact_hits + self.cold_runs
 
 
 @dataclass(frozen=True)
@@ -360,27 +346,20 @@ class Rip:
         self._dp = PowerAwareDp(
             technology,
             pruning=self._config.pruning,
-            traversal=self._config.traversal,
             core=self._config.dp_core,
         )
         self._refine = Refine(technology, config=self._config.refine)
         self._window_cache = resolve_window_cache(window_cache)
-        # Per-net warm-start records for REFINE, keyed by the process-stable
-        # net fingerprint; only populated when refine.warm_start is on.
-        # When the window cache is disk-backed, the records share its
-        # directory, so warm REFINE survives process restarts too.
+        # Per-net exact-hit REFINE records, keyed by the process-stable net
+        # fingerprint.  When the window cache is disk-backed, the records
+        # share its directory, so they survive process restarts too.
         self._continuations: "OrderedDict[str, RefineContinuation]" = OrderedDict()
         # Counters of continuations already evicted from the LRU, so the
         # reported statistics stay monotone across evictions.
         self._evicted_exact_hits = 0
-        self._evicted_seeded_runs = 0
         self._evicted_cold_runs = 0
         self._refine_store: Optional[RefineRecordStore] = None
-        if (
-            self._config.refine.warm_start
-            and self._window_cache is not None
-            and self._window_cache.cache_dir is not None
-        ):
+        if self._window_cache is not None and self._window_cache.cache_dir is not None:
             self._refine_store = RefineRecordStore(
                 self._window_cache.cache_dir,
                 refine_context_fingerprint(technology, self._config.refine),
@@ -393,7 +372,6 @@ class Rip:
             dp_context_fingerprint(
                 technology,
                 self._config.pruning,
-                traversal=self._config.traversal,
                 elmore_evaluator=self._config.refine.evaluator,
                 dp_core=self._config.dp_core,
                 analytical=self._config.refine.analytical,
@@ -424,8 +402,6 @@ class Rip:
         return ContinuationStatistics(
             exact_hits=self._evicted_exact_hits
             + sum(c.exact_hits for c in self._continuations.values()),
-            seeded_runs=self._evicted_seeded_runs
-            + sum(c.seeded_runs for c in self._continuations.values()),
             cold_runs=self._evicted_cold_runs
             + sum(c.cold_runs for c in self._continuations.values()),
             nets=len(self._continuations),
@@ -435,7 +411,6 @@ class Rip:
         """Drop all REFINE continuation records (counters included)."""
         self._continuations.clear()
         self._evicted_exact_hits = 0
-        self._evicted_seeded_runs = 0
         self._evicted_cold_runs = 0
 
     # ------------------------------------------------------------------ #
@@ -537,9 +512,8 @@ class Rip:
         """Run RIP for many timing targets, batching the final DP passes.
 
         With ``dp_core="batched"`` the per-target steps 1–3 run sequentially
-        in target order (preserving the REFINE warm-start continuation
-        chain, which seeds each run from the nearest previously-recorded
-        target and never depends on final DP results), and then all final
+        in target order (the REFINE exact-hit memo is filled in the same
+        order and never depends on final DP results), and then all final
         DP passes execute as one :class:`BatchedDpDriver` lockstep batch —
         bit-for-bit the results of calling :meth:`run_prepared` per target.
         Any other core falls back to exactly that per-target loop.
@@ -595,11 +569,7 @@ class Rip:
 
     def _batched_driver(self) -> BatchedDpDriver:
         """A lockstep driver matching this inserter's DP configuration."""
-        return BatchedDpDriver(
-            self._technology,
-            pruning=self._config.pruning,
-            traversal=self._config.traversal,
-        )
+        return BatchedDpDriver(self._technology, pruning=self._config.pruning)
 
     def _plan_target(self, prepared: PreparedNet, timing_target: float) -> _TargetPlan:
         """Steps 1–3: coarse pick, REFINE, and the design-specific B / S."""
@@ -702,29 +672,19 @@ class Rip:
         coarse_solution: InsertionSolution,
         timing_target: float,
     ) -> RefineResult:
-        """Run REFINE, threading the net's warm-start continuation.
+        """Run REFINE through the net's exact-hit memo.
 
-        With ``refine.warm_start`` on, a byte-identical repeated query
-        ``(net, target, coarse solution)`` is answered from the per-net
-        :class:`RefineContinuation` record verbatim (idempotent repeats);
-        otherwise the converged solution of the nearest recorded timing
-        target seeds the width solver and the new result is recorded.  Cold
-        start (``warm_start=False``) bypasses the continuations entirely.
+        A byte-identical repeated query ``(net, target, coarse solution)``
+        is answered from the per-net :class:`RefineContinuation` record
+        verbatim (idempotent repeats); otherwise REFINE runs and the new
+        result is recorded.
         """
-        if not self._config.refine.warm_start:
-            return self._refine.run(net, coarse_solution, timing_target)
         continuation = self._continuation_for(net)
         cached = continuation.exact(timing_target, coarse_solution)
         if cached is not None:
             return cached
-        seed = continuation.seed_for(
-            timing_target, min_width=self._technology.repeater.min_width
-        )
-        if seed is not None:
-            continuation.seeded_runs += 1
-        else:
-            continuation.cold_runs += 1
-        refined = self._refine.run(net, coarse_solution, timing_target, seed=seed)
+        continuation.cold_runs += 1
+        refined = self._refine.run(net, coarse_solution, timing_target)
         continuation.record(timing_target, coarse_solution, refined)
         if self._refine_store is not None:
             # Rewrites the net's (small) record file per computed run —
@@ -746,7 +706,6 @@ class Rip:
             while len(self._continuations) > self.MAX_CONTINUATION_NETS:
                 _, evicted = self._continuations.popitem(last=False)
                 self._evicted_exact_hits += evicted.exact_hits
-                self._evicted_seeded_runs += evicted.seeded_runs
                 self._evicted_cold_runs += evicted.cold_runs
         else:
             self._continuations.move_to_end(key)

@@ -33,8 +33,7 @@ of ``stage_delay_breakdown``/``wire_elmore_delay`` over the same
 ``pieces_between`` output, and elementwise numpy double arithmetic is IEEE
 identical to scalar Python float arithmetic — so :meth:`stage_delays` is
 **bit-for-bit** equal to the walked ``stage_delays`` and :meth:`net_delay`
-to the walked ``buffered_net_delay`` (stricter than the ≤1 ulp allowance
-the ``traverse_affine`` DP fast mode needs; property-tested in
+to the walked ``buffered_net_delay`` (property-tested in
 ``tests/test_delay_compiled.py``).
 """
 

@@ -205,14 +205,6 @@ class PowerDpResult:
 class PowerAwareDp:
     """Lillis-style power-aware repeater-insertion DP on a two-pin net.
 
-    ``traversal`` selects the wire-crossing kernel: ``"exact"`` (the
-    default) replays the legacy per-piece arithmetic bit-for-bit via
-    :meth:`CompiledNet.traverse`; ``"affine"`` folds each interval into one
-    closed-form expression (:meth:`CompiledNet.traverse_affine`) — about
-    ~1 ulp of floating-point re-association drift per interval, for
-    throughput-over-exactness service workloads (the fast-mode property
-    tests bound the drift).
-
     ``core`` selects the inner-loop implementation: ``"fused"`` (the
     default) runs each level as one :func:`repro.engine.kernels.fused_level`
     call on preallocated, process-shared scratch buffers — **bit-for-bit**
@@ -229,20 +221,14 @@ class PowerAwareDp:
         technology: Technology,
         pruning: Optional[PruningConfig] = None,
         *,
-        traversal: str = "exact",
         core: str = "fused",
         scratch: Optional[DpScratch] = None,
     ) -> None:
-        require(
-            traversal in ("exact", "affine"),
-            f"unknown traversal mode {traversal!r}",
-        )
         require(
             core in ("fused", "staged", "batched"), f"unknown DP core {core!r}"
         )
         self._technology = technology
         self._pruning = pruning or PruningConfig()
-        self._traversal = traversal
         # The reference pruning kernel is the per-row oracle of both cores;
         # it has no fused counterpart, so it implies the staged core.
         self._core = "staged" if self._pruning.kernel == "reference" else core
@@ -252,11 +238,6 @@ class PowerAwareDp:
     def technology(self) -> Technology:
         """Technology whose repeater constants the DP uses."""
         return self._technology
-
-    @property
-    def traversal(self) -> str:
-        """The wire-traversal kernel in use (``"exact"`` or ``"affine"``)."""
-        return self._traversal
 
     @property
     def core(self) -> str:
@@ -291,7 +272,6 @@ class PowerAwareDp:
             driver = BatchedDpDriver(
                 self._technology,
                 pruning=self._pruning,
-                traversal=self._traversal,
                 scratch=self._scratch,
             )
             return driver.run_power([DpProblem(net, library, compiled)])[0]
@@ -330,9 +310,6 @@ class PowerAwareDp:
         intrinsic = repeater.intrinsic_delay
 
         positions = compiled.positions
-        traverse = (
-            compiled.traverse if self._traversal == "exact" else compiled.traverse_affine
-        )
 
         # State arrays at the current point (initially: at the receiver).
         caps = np.array([unit_input_cap * net.receiver_width])
@@ -347,7 +324,7 @@ class PowerAwareDp:
         library_widths = np.asarray(library.widths, dtype=float)
 
         for level, position in enumerate(reversed(positions)):
-            caps, delays = traverse(level, caps, delays)
+            caps, delays = compiled.traverse(level, caps, delays)
 
             count = len(caps)
             branches = len(library_widths) + 1
@@ -398,7 +375,7 @@ class PowerAwareDp:
             back = np.arange(len(keep), dtype=np.int64)
             max_front = max(max_front, len(keep))
 
-        caps, delays = traverse(len(positions), caps, delays)
+        caps, delays = compiled.traverse(len(positions), caps, delays)
         final_delays = delays + intrinsic + (unit_resistance / net.driver_width) * caps
         if sanitize.enabled():
             sanitize.check_finite(
@@ -424,7 +401,6 @@ class PowerAwareDp:
         intrinsic = repeater.intrinsic_delay
         pruning = self._pruning
         scratch = self._scratch if self._scratch is not None else shared_scratch()
-        exact = self._traversal == "exact"
 
         positions = compiled.positions
         intervals = compiled.intervals
@@ -462,7 +438,6 @@ class PowerAwareDp:
                 delay_tolerance=pruning.delay_tolerance,
                 width_tolerance=pruning.width_tolerance,
                 full_strategy=full_strategy,
-                exact_traversal=exact,
             )
             states_generated += m
             # The kept flat indices are the whole level record: branch and
@@ -481,9 +456,9 @@ class PowerAwareDp:
                     where=f"PowerAwareDp(fused) net {net.name!r}",
                 )
 
-        # The final traversal mutates the scratch-front views in place —
+        # The final wire crossing mutates the scratch-front views in place —
         # same arithmetic as the staged path's out-of-place traverse.
-        _traverse_in_place(scratch, intervals[len(positions)], caps, delays, exact)
+        _traverse_in_place(scratch, intervals[len(positions)], caps, delays)
         final_delays = delays + intrinsic + (unit_resistance / net.driver_width) * caps
         if sanitize.enabled():
             sanitize.check_finite(

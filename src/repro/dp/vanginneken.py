@@ -151,7 +151,7 @@ class DelayOptimalDp:
                         level=level,
                         where=f"DelayOptimalDp(fused) net {net.name!r}",
                     )
-            _traverse_in_place(scratch, intervals[len(positions)], caps, delays, True)
+            _traverse_in_place(scratch, intervals[len(positions)], caps, delays)
         else:
             for level, position in enumerate(reversed(positions)):
                 caps, delays = compiled.traverse(level, caps, delays)

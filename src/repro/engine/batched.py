@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -43,32 +43,20 @@ from repro.dp.powerdp import (
 from repro.dp.pruning import PruningConfig
 from repro.dp.state import DpSolution
 from repro.dp.vanginneken import DelayOptimalDp, _Level
-from repro.engine.compiled import CompiledNet, CompiledTree
+from repro.engine.compiled import CompiledNet
 from repro.engine.kernels import (
     DpScratch,
     _traverse_in_place,
     fused_level_2d_batched,
     fused_level_batched,
     shared_scratch,
-    tree_merge_level,
-    tree_prune_front,
-    tree_site_level_batched,
 )
 from repro.net.twopin import TwoPinNet
 from repro.tech.library import RepeaterLibrary
 from repro.tech.technology import Technology
-from repro.tree.buffering import (
-    TreeDpStatistics,
-    TreeSolution,
-    _select_solutions,
-    _TreeEdgeTrace,
-    _TreeNodeTrace,
-    _TreeSiteRecord,
-)
-from repro.tree.rctree import RoutingTree
-from repro.utils.validation import require, require_positive
+from repro.utils.validation import require
 
-__all__ = ["BatchedDpDriver", "DpProblem", "TreeDpProblem"]
+__all__ = ["BatchedDpDriver", "DpProblem"]
 
 #: Default cap on problems in flight per lockstep batch; pending problems
 #: join as earlier ones finish, bounding the concatenated front size.
@@ -153,115 +141,6 @@ class _ActiveProblem:
         return self.positions[self.num_levels - 1 - self.next_level]
 
 
-@dataclass
-class TreeDpProblem:
-    """One routing-tree DP problem of a batch (one solve, many targets).
-
-    ``compiled`` takes precedence; otherwise the driver compiles the tree's
-    edges at ``site_pitch`` (the same schedule the single-problem cores
-    use).  One solution per entry of ``timing_targets`` — the Pareto
-    frontier at the driver is target-independent, so extra targets cost
-    only selection.
-    """
-
-    tree: RoutingTree
-    library: RepeaterLibrary
-    timing_targets: Sequence[float]
-    compiled: Optional[CompiledTree] = None
-    site_pitch: float = 200.0e-6
-    max_states_per_node: int = 4000
-
-
-class _ActiveTreeEdge:
-    """Lockstep state of one active edge (one batch segment)."""
-
-    __slots__ = ("child", "compiled_edge", "caps", "delays", "widths", "records", "site_index")
-
-    def __init__(self, child, compiled_edge, caps, delays, widths) -> None:
-        self.child = child
-        self.compiled_edge = compiled_edge
-        self.caps = caps
-        self.delays = delays
-        self.widths = widths
-        self.records: list = []
-        self.site_index = 0
-
-    @property
-    def finished(self) -> bool:
-        """Whether every candidate site of this edge has been expanded."""
-        return self.site_index >= len(self.compiled_edge.sites)
-
-
-class _ActiveTreeProblem:
-    """Mutable lockstep state of one tree problem inside the batch."""
-
-    __slots__ = (
-        "index",
-        "tree",
-        "library",
-        "compiled",
-        "targets",
-        "max_states",
-        "unit_input_cap",
-        "unit_resistance",
-        "library_widths",
-        "cap_lut",
-        "ratio_lut",
-        "edge_fronts",
-        "edge_traces",
-        "node_traces",
-        "pending_children",
-        "active_edges",
-        "states_generated",
-        "max_front",
-        "solutions",
-    )
-
-    def __init__(
-        self,
-        index: int,
-        problem: TreeDpProblem,
-        unit_input_cap: float,
-        unit_resistance: float,
-    ) -> None:
-        problem.tree.validate()
-        targets = [float(target) for target in problem.timing_targets]
-        require(len(targets) > 0, "timing_targets must not be empty")
-        for target in targets:
-            require_positive(target, "timing_target")
-        require(
-            problem.max_states_per_node >= 10, "max_states_per_node must be >= 10"
-        )
-        compiled = problem.compiled
-        if compiled is None:
-            compiled = CompiledTree(problem.tree, problem.site_pitch)
-        else:
-            require(
-                compiled.tree is problem.tree,
-                "compiled tree does not belong to this problem's routing tree",
-            )
-        self.index = index
-        self.tree = problem.tree
-        self.library = problem.library
-        self.compiled = compiled
-        self.targets = targets
-        self.max_states = int(problem.max_states_per_node)
-        self.unit_input_cap = unit_input_cap
-        self.unit_resistance = unit_resistance
-        library_widths = np.asarray(problem.library.widths, dtype=float)
-        self.library_widths = library_widths
-        self.cap_lut = unit_input_cap * library_widths
-        self.ratio_lut = unit_resistance / library_widths
-        self.edge_fronts: dict = {}
-        self.edge_traces: dict = {}
-        self.node_traces: dict = {}
-        self.pending_children: dict = {}
-        self.active_edges: list = []
-        self.states_generated = 0
-        self.max_front = 0
-        self.solutions = None
-
-
 class BatchedDpDriver:
     """Run many power-aware (or delay-optimal) DPs in lockstep.
 
@@ -275,18 +154,13 @@ class BatchedDpDriver:
         technology: Technology,
         *,
         pruning: Optional[PruningConfig] = None,
-        traversal: str = "exact",
         delay_tolerance: float = 1.0e-14,
         scratch: Optional[DpScratch] = None,
         max_in_flight: int = _MAX_IN_FLIGHT,
     ) -> None:
-        require(
-            traversal in ("exact", "affine"), f"unknown traversal mode {traversal!r}"
-        )
         require(max_in_flight >= 1, "max_in_flight must be >= 1")
         self._technology = technology
         self._pruning = pruning or PruningConfig()
-        self._traversal = traversal
         self._delay_tolerance = delay_tolerance
         self._scratch = scratch
         self._max_in_flight = int(max_in_flight)
@@ -321,7 +195,6 @@ class BatchedDpDriver:
         intrinsic = repeater.intrinsic_delay
         unit_resistance = repeater.unit_resistance
         scratch = self._scratch if self._scratch is not None else shared_scratch()
-        exact = self._traversal == "exact"
         pruning = self._pruning
         full_strategy = pruning.strategy == "full"
         self._front_sizes = []
@@ -361,7 +234,6 @@ class BatchedDpDriver:
                 delay_tolerance=pruning.delay_tolerance,
                 width_tolerance=pruning.width_tolerance,
                 full_strategy=full_strategy,
-                exact_traversal=exact,
             )
             front_caps, front_delays, front_widths, keep_local, survivors, m_per = fronts
             offset = 0
@@ -395,9 +267,7 @@ class BatchedDpDriver:
         def finalize(entry: _ActiveProblem) -> None:
             caps, delays, widths = entry.caps, entry.delays, entry.widths
             scratch.ensure(len(caps))
-            _traverse_in_place(
-                scratch, entry.intervals[entry.num_levels], caps, delays, exact
-            )
+            _traverse_in_place(scratch, entry.intervals[entry.num_levels], caps, delays)
             final_delays = (
                 delays + intrinsic + (unit_resistance / entry.net.driver_width) * caps
             )
@@ -509,9 +379,7 @@ class BatchedDpDriver:
         def finalize(entry: _ActiveProblem) -> None:
             caps, delays, widths = entry.caps, entry.delays, entry.widths
             scratch.ensure(len(caps))
-            _traverse_in_place(
-                scratch, entry.intervals[entry.num_levels], caps, delays, True
-            )
+            _traverse_in_place(scratch, entry.intervals[entry.num_levels], caps, delays)
             final_delays = (
                 delays + intrinsic + (unit_resistance / entry.net.driver_width) * caps
             )
@@ -528,317 +396,6 @@ class BatchedDpDriver:
 
         self._lockstep(states, level_step, finalize)
         return [entry.result for entry in states]
-
-    # ------------------------------------------------------------------ #
-    def run_tree_power(
-        self, problems: Sequence[TreeDpProblem]
-    ) -> List[List[TreeSolution]]:
-        """Run the tree power DP for every problem; results in input order.
-
-        Bit-for-bit identical to ``TreePowerDp(core="fused")`` per problem
-        (solutions, assignments and statistics; the whole-batch wall clock
-        is attributed proportionally to each problem's generated states).
-
-        Lockstep shape: each *active edge* of each in-flight problem is one
-        segment of :func:`repro.engine.kernels.tree_site_level_batched`, and
-        every step advances every active edge by one candidate site.  When
-        an edge runs out of sites it retires (final gap walk); when a node's
-        last child edge retires, the node's merges and prune run as
-        single-problem kernel calls, and the node's own edge — or, at the
-        root, the driver stage and per-target selection — becomes ready.
-        """
-        started = time.perf_counter()
-        repeater = self._technology.repeater
-        intrinsic = repeater.intrinsic_delay
-        scratch = self._scratch if self._scratch is not None else shared_scratch()
-        self._front_sizes = []
-
-        states = [
-            _ActiveTreeProblem(
-                index, problem, repeater.unit_input_capacitance,
-                repeater.unit_resistance,
-            )
-            for index, problem in enumerate(problems)
-        ]
-
-        pending = deque(states)
-        active: List[_ActiveTreeProblem] = []
-        while pending or active:
-            while pending and len(active) < self._max_in_flight:
-                entry = pending.popleft()
-                self._tree_admit(entry, scratch, intrinsic)
-                if entry.solutions is None:
-                    active.append(entry)
-            if not active:
-                continue
-            self._tree_level_step(active, scratch, intrinsic)
-            active = [entry for entry in active if entry.solutions is None]
-
-        elapsed = time.perf_counter() - started
-        total_states = sum(entry.states_generated for entry in states) or 1
-        results: List[List[TreeSolution]] = []
-        for entry in states:
-            statistics = TreeDpStatistics(
-                num_edges=len(entry.tree.edges),
-                num_sites=entry.compiled.num_sites,
-                library_size=len(entry.library.widths),
-                states_generated=entry.states_generated,
-                max_front_size=entry.max_front,
-                runtime_seconds=elapsed * entry.states_generated / total_states,
-            )
-            results.append(
-                [
-                    replace(solution, statistics=statistics)
-                    for solution in entry.solutions
-                ]
-            )
-        return results
-
-    def _tree_admit(
-        self, entry: _ActiveTreeProblem, scratch: DpScratch, intrinsic: float
-    ) -> None:
-        """Seed leaf fronts and start every leaf edge (cascading)."""
-        tree = entry.tree
-        for node in tree.nodes:
-            children = tree.children(node)
-            if children:
-                entry.pending_children[node] = len(children)
-        for node in tree.nodes:
-            if tree.children(node):
-                continue
-            sink = tree.sink(node)
-            assert sink is not None  # guaranteed by tree.validate()
-            entry.states_generated += 1
-            entry.max_front = max(entry.max_front, 1)
-            entry.node_traces[node] = _TreeNodeTrace(
-                children=(), merge_flats=(), final_keep=None
-            )
-            self._tree_start_edge(
-                entry,
-                node,
-                np.array([entry.unit_input_cap * sink.receiver_width]),
-                np.zeros(1),
-                np.zeros(1),
-                scratch,
-                intrinsic,
-            )
-
-    def _tree_start_edge(
-        self,
-        entry: _ActiveTreeProblem,
-        child: str,
-        caps: np.ndarray,
-        delays: np.ndarray,
-        widths: np.ndarray,
-        scratch: DpScratch,
-        intrinsic: float,
-    ) -> None:
-        edge_state = _ActiveTreeEdge(
-            child, entry.compiled.edge(child), caps, delays, widths
-        )
-        if edge_state.finished:  # no candidate sites: just the wire walk
-            self._tree_finish_edge(entry, edge_state, scratch, intrinsic)
-        else:
-            entry.active_edges.append(edge_state)
-
-    def _tree_finish_edge(
-        self,
-        entry: _ActiveTreeProblem,
-        edge_state: _ActiveTreeEdge,
-        scratch: DpScratch,
-        intrinsic: float,
-    ) -> None:
-        """Final gap walk of a finished edge, then cascade into its parent."""
-        compiled_edge = edge_state.compiled_edge
-        caps, delays = edge_state.caps, edge_state.delays
-        scratch.ensure(len(caps))
-        _traverse_in_place(
-            scratch,
-            compiled_edge.intervals[len(compiled_edge.sites)],
-            caps,
-            delays,
-            True,
-        )
-        child = edge_state.child
-        entry.edge_traces[child] = _TreeEdgeTrace(
-            parent=compiled_edge.parent,
-            child=child,
-            levels=tuple(edge_state.records),
-        )
-        entry.edge_fronts[child] = (caps, delays, edge_state.widths)
-        parent = compiled_edge.parent
-        entry.pending_children[parent] -= 1
-        if entry.pending_children[parent] == 0:
-            self._tree_complete_node(entry, parent, scratch, intrinsic)
-
-    def _tree_complete_node(
-        self,
-        entry: _ActiveTreeProblem,
-        node: str,
-        scratch: DpScratch,
-        intrinsic: float,
-    ) -> None:
-        """Merge the node's child-edge fronts, prune, and advance upwards."""
-        tree = entry.tree
-        children = tree.children(node)
-        caps, delays, widths = entry.edge_fronts.pop(children[0])
-        merge_flats = []
-        for child in children[1:]:
-            right_caps, right_delays, right_widths = entry.edge_fronts.pop(child)
-            entry.states_generated += len(caps) * len(right_caps)
-            front_caps, front_delays, front_widths, keep, _ = tree_merge_level(
-                scratch,
-                caps,
-                delays,
-                widths,
-                right_caps,
-                right_delays,
-                right_widths,
-                max_states=entry.max_states,
-            )
-            entry.max_front = max(entry.max_front, len(keep))
-            if sanitize.enabled():
-                sanitize.check_tree_level(
-                    front_caps,
-                    front_delays,
-                    front_widths,
-                    where=(
-                        f"BatchedDpDriver tree {tree.name!r} node {node!r} merge"
-                    ),
-                )
-            merge_flats.append((keep.copy(), len(right_caps)))
-            caps = front_caps.copy()
-            delays = front_delays.copy()
-            widths = front_widths.copy()
-        sink = tree.sink(node)
-        if sink is not None:
-            np.add(caps, entry.unit_input_cap * sink.receiver_width, out=caps)
-        front_caps, front_delays, front_widths, keep, _ = tree_prune_front(
-            scratch, caps, delays, widths, max_states=entry.max_states
-        )
-        entry.max_front = max(entry.max_front, len(keep))
-        if sanitize.enabled():
-            sanitize.check_tree_level(
-                front_caps,
-                front_delays,
-                front_widths,
-                where=f"BatchedDpDriver tree {tree.name!r} node {node!r} prune",
-            )
-        entry.node_traces[node] = _TreeNodeTrace(
-            children=tuple(
-                (entry.edge_traces.pop(child), entry.node_traces.pop(child))
-                for child in children
-            ),
-            merge_flats=tuple(merge_flats),
-            final_keep=keep.copy(),
-        )
-        if node == tree.root:
-            # Driver stage — the two-pin final grouping, like the other cores.
-            totals = front_delays + intrinsic
-            totals += (entry.unit_resistance / tree.driver_width) * front_caps
-            if sanitize.enabled():
-                sanitize.check_finite(
-                    f"BatchedDpDriver tree {tree.name!r} final",
-                    totals=totals,
-                    widths=front_widths,
-                )
-            entry.solutions = _select_solutions(
-                totals,
-                front_widths.copy(),
-                entry.node_traces[node],
-                entry.targets,
-                entry.library_widths,
-            )
-            return
-        self._tree_start_edge(
-            entry,
-            node,
-            front_caps.copy(),
-            front_delays.copy(),
-            front_widths.copy(),
-            scratch,
-            intrinsic,
-        )
-
-    def _tree_level_step(
-        self,
-        active: List[_ActiveTreeProblem],
-        scratch: DpScratch,
-        intrinsic: float,
-    ) -> None:
-        """Advance every active edge of every in-flight problem by one site."""
-        segs = [
-            (entry, edge_state)
-            for entry in active
-            for edge_state in entry.active_edges
-        ]
-        counts = np.array([len(state.caps) for _, state in segs], dtype=np.int64)
-        caps = np.concatenate([state.caps for _, state in segs])
-        delays = np.concatenate([state.delays for _, state in segs])
-        widths = np.concatenate([state.widths for _, state in segs])
-        intervals = [
-            state.compiled_edge.intervals[state.site_index] for _, state in segs
-        ]
-        lut_sizes = np.array(
-            [len(entry.library_widths) for entry, _ in segs], dtype=np.int64
-        )
-        lut_offsets = np.zeros(len(segs), dtype=np.int64)
-        np.cumsum(lut_sizes[:-1], out=lut_offsets[1:])
-        max_states = np.array([entry.max_states for entry, _ in segs], dtype=np.int64)
-        self._front_sizes.append(int(counts.sum()))
-        fronts = tree_site_level_batched(
-            scratch,
-            intervals,
-            caps,
-            delays,
-            widths,
-            counts,
-            lut_caps=np.concatenate([entry.cap_lut for entry, _ in segs]),
-            lut_ratios=np.concatenate([entry.ratio_lut for entry, _ in segs]),
-            lut_widths=np.concatenate([entry.library_widths for entry, _ in segs]),
-            lut_offsets=lut_offsets,
-            lut_sizes=lut_sizes,
-            intrinsic=intrinsic,
-            max_states=max_states,
-        )
-        front_caps, front_delays, front_widths, keep_local, survivors, m_per = fronts
-        offset = 0
-        for row, (entry, edge_state) in enumerate(segs):
-            kept = int(survivors[row])
-            edge_state.records.append(
-                _TreeSiteRecord(
-                    site=edge_state.compiled_edge.sites[edge_state.site_index],
-                    flat=keep_local[offset : offset + kept].copy(),
-                    count=int(counts[row]),
-                )
-            )
-            edge_state.caps = front_caps[offset : offset + kept].copy()
-            edge_state.delays = front_delays[offset : offset + kept].copy()
-            edge_state.widths = front_widths[offset : offset + kept].copy()
-            entry.states_generated += int(m_per[row])
-            entry.max_front = max(entry.max_front, kept)
-            edge_state.site_index += 1
-            offset += kept
-            if sanitize.enabled():
-                sanitize.check_tree_level(
-                    edge_state.caps,
-                    edge_state.delays,
-                    edge_state.widths,
-                    where=(
-                        f"BatchedDpDriver tree {entry.tree.name!r} edge "
-                        f"{edge_state.compiled_edge.parent!r}->"
-                        f"{edge_state.child!r} site {edge_state.site_index - 1}"
-                    ),
-                )
-        # Retire finished edges only after every segment's views are copied:
-        # the cascade runs single-problem kernels on this same scratch.
-        for entry in active:
-            finished = [state for state in entry.active_edges if state.finished]
-            entry.active_edges = [
-                state for state in entry.active_edges if not state.finished
-            ]
-            for edge_state in finished:
-                self._tree_finish_edge(entry, edge_state, scratch, intrinsic)
 
     # ------------------------------------------------------------------ #
     def _lockstep(self, states, level_step, finalize) -> None:

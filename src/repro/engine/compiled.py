@@ -8,22 +8,16 @@ while-loop, list construction and tuple unpacking *per DP level per run*.
 
 :class:`CompiledNet` hoists all of that out of the hot loop: it legalises
 and merges the candidate positions once, splits the net into the
-``len(positions) + 1`` walk intervals, and precomputes for each interval
-
-* the piece resistance/half-capacitance/capacitance arrays (in traversal
-  order, receiver side first), so crossing an interval is one numpy
-  broadcast expression per piece — and almost every interval is a single
-  piece, because candidate pitches (50–200 µm) are much finer than segment
-  lengths (1000–2500 µm);
-* the closed-form affine Elmore coefficients ``(R, C, K)`` of the whole
-  interval: crossing it maps ``(caps, delays)`` to
-  ``(caps + C, delays + R * caps + K)``.
+``len(positions) + 1`` walk intervals, and precomputes for each interval the
+piece resistance/half-capacitance/capacitance arrays (in walk order,
+receiver side first), so crossing an interval is one numpy broadcast
+expression per piece — and almost every interval is a single piece, because
+candidate pitches (50–200 µm) are much finer than segment lengths
+(1000–2500 µm).
 
 The per-piece path reproduces the original ``traverse_wire`` arithmetic
 operation-for-operation, so DP results are bit-for-bit identical to the
-legacy loop; the affine path folds each interval into a single expression
-(re-associating the floating-point sums, so results agree only to ~1 ulp)
-and is available for callers that do not need bit-exactness.
+legacy loop.
 """
 
 from __future__ import annotations
@@ -51,14 +45,10 @@ class WireInterval:
     upstream / downstream:
         Interval bounds in meters from the driver (``upstream < downstream``).
     piece_resistance / piece_capacitance:
-        Per-piece totals (ohms / farads) in traversal order, i.e. the piece
+        Per-piece totals (ohms / farads) in walk order, i.e. the piece
         adjacent to ``downstream`` first.
     piece_half_capacitance:
         ``0.5 * piece_capacitance``, precomputed for the Elmore midpoint term.
-    resistance / capacitance / delay_constant:
-        Closed-form affine coefficients of the whole interval: traversing it
-        adds ``capacitance`` to the load and ``resistance * caps_in +
-        delay_constant`` to the delay.
     """
 
     upstream: float
@@ -66,9 +56,6 @@ class WireInterval:
     piece_resistance: np.ndarray
     piece_capacitance: np.ndarray
     piece_half_capacitance: np.ndarray
-    resistance: float
-    capacitance: float
-    delay_constant: float
 
 
 class CompiledNet:
@@ -108,9 +95,8 @@ class CompiledNet:
         # Candidate pitches are much finer than segment lengths, so almost
         # every interval is one piece; those are precomputed as whole-vector
         # expressions reproducing the per-interval walk bit for bit (same
-        # segment lookup, ``end - start`` length, and delay-constant
-        # grouping), with the legacy per-interval path as the fallback for
-        # boundary-crossing intervals.
+        # segment lookup and ``end - start`` length), with the legacy
+        # per-interval path as the fallback for boundary-crossing intervals.
         starts = np.asarray(bounds[:-1], dtype=float)
         ends = np.asarray(bounds[1:], dtype=float)
         boundaries = net.segment_boundaries
@@ -123,9 +109,6 @@ class CompiledNet:
         single = entered & (boundaries[index + 1] >= ends) & (lengths > 1e-15)
         piece_res = res_per_meter[index] * lengths
         piece_cap = cap_per_meter[index] * lengths
-        # One piece, zero accumulated capacitance: the walk's delay constant
-        # is literally ``r * (0.5 * c + 0.0)``.
-        delay_constants = piece_res * (0.5 * piece_cap + 0.0)
 
         intervals: List[WireInterval] = []
         # Walk order: from the receiver-side interval towards the driver.
@@ -142,9 +125,6 @@ class CompiledNet:
                         piece_resistance=piece_resistance,
                         piece_capacitance=piece_capacitance,
                         piece_half_capacitance=0.5 * piece_capacitance,
-                        resistance=float(piece_res[k]),
-                        capacitance=float(piece_cap[k]),
-                        delay_constant=float(delay_constants[k]),
                     )
                 )
                 continue
@@ -156,13 +136,6 @@ class CompiledNet:
             piece_capacitance = np.array(
                 [capacitance * length for _, capacitance, length in reversed(pieces)]
             )
-            # The affine delay constant accumulates each piece's midpoint term
-            # plus its resistance times the capacitance already picked up.
-            accumulated = 0.0
-            delay_constant = 0.0
-            for resistance, capacitance in zip(piece_resistance, piece_capacitance):
-                delay_constant += resistance * (0.5 * capacitance + accumulated)
-                accumulated += capacitance
             intervals.append(
                 WireInterval(
                     upstream=upstream,
@@ -170,9 +143,6 @@ class CompiledNet:
                     piece_resistance=piece_resistance,
                     piece_capacitance=piece_capacitance,
                     piece_half_capacitance=0.5 * piece_capacitance,
-                    resistance=float(piece_resistance.sum()),
-                    capacitance=float(piece_capacitance.sum()),
-                    delay_constant=delay_constant,
                 )
             )
         return intervals
@@ -222,22 +192,6 @@ class CompiledNet:
             )
             caps += interval.piece_capacitance[piece]
         return caps, delays
-
-    def traverse_affine(
-        self, level: int, caps: np.ndarray, delays: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Affine single-expression variant of :meth:`traverse`.
-
-        Uses the precomputed interval coefficients; agrees with
-        :meth:`traverse` up to floating-point re-association (~1 ulp).
-        """
-        interval = self._intervals[level]
-        if interval.capacitance == 0.0 and interval.resistance == 0.0:
-            return caps, delays
-        return (
-            caps + interval.capacitance,
-            delays + interval.resistance * caps + interval.delay_constant,
-        )
 
 
 # --------------------------------------------------------------------------- #
@@ -292,9 +246,6 @@ def _compile_tree_edge(edge: "TreeEdge", site_pitch: float) -> CompiledTreeEdge:
                     piece_resistance=empty,
                     piece_capacitance=empty,
                     piece_half_capacitance=empty,
-                    resistance=0.0,
-                    capacitance=0.0,
-                    delay_constant=0.0,
                 )
             )
             walked = bound
@@ -310,9 +261,6 @@ def _compile_tree_edge(edge: "TreeEdge", site_pitch: float) -> CompiledTreeEdge:
                 piece_resistance=piece_resistance,
                 piece_capacitance=piece_capacitance,
                 piece_half_capacitance=0.5 * piece_capacitance,
-                resistance=resistance,
-                capacitance=capacitance,
-                delay_constant=resistance * (0.5 * capacitance + 0.0),
             )
         )
         walked = bound
@@ -329,9 +277,9 @@ class CompiledTree:
     """A routing tree compiled against a fixed repeater-site pitch.
 
     The tree analogue of :class:`CompiledNet`: every edge's candidate-site
-    schedule and inter-site wire intervals are derived once, so the fused and
-    batched tree DP cores replay each edge as the same affine piece walk the
-    two-pin path uses — no per-run site or RC re-derivation.
+    schedule and inter-site wire intervals are derived once, so the fused
+    tree DP core replays each edge as the same piece walk the two-pin path
+    uses — no per-run site or RC re-derivation.
     """
 
     def __init__(self, tree: "RoutingTree", site_pitch: float) -> None:

@@ -87,7 +87,7 @@ from repro.engine.wincache import (
 )
 from repro.tech.library import RepeaterLibrary
 from repro.tech.technology import Technology
-from repro.tree.buffering import TreePowerDp
+from repro.tree.buffering import TREE_CORES, TreePowerDp
 from repro.tree.generator import htree
 from repro.utils.canonical import stable_digest
 from repro.utils.validation import require, require_positive
@@ -192,11 +192,6 @@ class MethodSpec:
         RIP).
     rip:
         Optional per-method override of the engine's RIP configuration.
-    traversal:
-        Wire-traversal kernel of a ``"dp"`` method: ``"exact"`` (bit-exact,
-        the default) or ``"affine"`` (the ~1 ulp fast mode for
-        throughput-over-exactness service workloads).  RIP methods carry
-        the flag on their :class:`RipConfig` instead.
     core:
         DP inner-loop implementation of a ``"dp"`` method: ``"fused"``
         (one kernel call per level on the per-worker scratch arena, the
@@ -204,15 +199,14 @@ class MethodSpec:
         (the lockstep :class:`~repro.engine.batched.BatchedDpDriver`).
         Bit-identical; RIP methods carry the switch on :class:`RipConfig`
         (``dp_core``).  ``"tree"`` methods select the tree DP core instead:
-        ``"fused"`` (default), ``"reference"`` (the Python oracle) or
-        ``"batched"`` — also bit-identical by contract.
+        ``"fused"`` (default) or ``"reference"`` (the Python oracle) —
+        also bit-identical by contract.
     """
 
     name: str
     kind: str
     library: Optional[RepeaterLibrary] = None
     rip: Optional[RipConfig] = None
-    traversal: str = "exact"
     core: str = "fused"
 
     def __post_init__(self) -> None:
@@ -225,13 +219,9 @@ class MethodSpec:
                 self.library is not None,
                 f"{self.kind} method {self.name!r} needs a library",
             )
-        require(
-            self.traversal in ("exact", "affine"),
-            f"unknown traversal mode {self.traversal!r}",
-        )
         if self.kind == "tree":
             require(
-                self.core in ("reference", "fused", "batched"),
+                self.core in TREE_CORES,
                 f"unknown tree DP core {self.core!r}",
             )
         else:
@@ -247,12 +237,10 @@ class MethodSpec:
 
     @staticmethod
     def dp_baseline(
-        name: str, library: RepeaterLibrary, *, traversal: str = "exact", core: str = "fused"
+        name: str, library: RepeaterLibrary, *, core: str = "fused"
     ) -> "MethodSpec":
         """A baseline power-aware DP with a fixed library."""
-        return MethodSpec(
-            name=name, kind="dp", library=library, traversal=traversal, core=core
-        )
+        return MethodSpec(name=name, kind="dp", library=library, core=core)
 
     @staticmethod
     def tree_method(
@@ -562,7 +550,6 @@ def _design_case(
                 dp = PowerAwareDp(
                     technology,
                     pruning=pruning,
-                    traversal=spec.traversal,
                     core=spec.core,
                 )
                 run_started = time.perf_counter()
@@ -998,7 +985,6 @@ def _sweep_components(
                     list(spec.library.widths) if spec.library is not None else None
                 ),
                 "rip": asdict(spec.rip) if spec.rip is not None else None,
-                "traversal": spec.traversal,
                 "core": spec.core,
             }
             for spec in methods

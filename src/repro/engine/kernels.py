@@ -67,7 +67,6 @@ __all__ = [
     "tree_merge_level",
     "tree_prune_front",
     "tree_site_level",
-    "tree_site_level_batched",
 ]
 
 _CROSS_BLOCK = 512
@@ -293,35 +292,23 @@ def _traverse_in_place(
     interval,
     caps: np.ndarray,
     delays: np.ndarray,
-    exact: bool,
 ) -> None:
     """Cross one compiled wire interval, mutating ``caps``/``delays``.
 
-    ``exact`` replays :meth:`CompiledNet.traverse`'s per-piece arithmetic
-    (bit-for-bit); otherwise the affine single-expression form of
-    :meth:`CompiledNet.traverse_affine` is applied.  Both keep the original
-    expression grouping, so in-place evaluation changes no bits.
+    Replays :meth:`CompiledNet.traverse`'s per-piece arithmetic with the
+    same expression grouping, so in-place evaluation changes no bits.
     """
     count = len(caps)
     tmp = scratch.f_a[:count]
-    if exact:
-        piece_resistance = interval.piece_resistance
-        piece_capacitance = interval.piece_capacitance
-        piece_half = interval.piece_half_capacitance
-        for piece in range(len(piece_resistance)):
-            # delays += r * (half + caps); caps += c  (same grouping).
-            np.add(caps, piece_half[piece], out=tmp)
-            np.multiply(tmp, piece_resistance[piece], out=tmp)
-            np.add(delays, tmp, out=delays)
-            np.add(caps, piece_capacitance[piece], out=caps)
-        return
-    if interval.capacitance == 0.0 and interval.resistance == 0.0:
-        return
-    # delays = (delays + R * caps) + K; caps += C  (same grouping).
-    np.multiply(caps, interval.resistance, out=tmp)
-    np.add(delays, tmp, out=delays)
-    np.add(delays, interval.delay_constant, out=delays)
-    np.add(caps, interval.capacitance, out=caps)
+    piece_resistance = interval.piece_resistance
+    piece_capacitance = interval.piece_capacitance
+    piece_half = interval.piece_half_capacitance
+    for piece in range(len(piece_resistance)):
+        # delays += r * (half + caps); caps += c  (same grouping).
+        np.add(caps, piece_half[piece], out=tmp)
+        np.multiply(tmp, piece_resistance[piece], out=tmp)
+        np.add(delays, tmp, out=delays)
+        np.add(caps, piece_capacitance[piece], out=caps)
 
 
 # hot
@@ -682,12 +669,11 @@ def fused_level(
     delay_tolerance: float,
     width_tolerance: float,
     full_strategy: bool,
-    exact_traversal: bool = True,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
     """One fused power-aware DP level: traverse, expand, dominance-prune.
 
     ``caps``/``delays``/``widths`` are the current front (``delays`` and
-    ``caps`` are mutated in place by the wire traversal; all three are
+    ``caps`` are mutated in place by the wire crossing; all three are
     consumed).  Returns ``(caps, delays, widths, keep, m, count)`` where the
     first three are views into the scratch front buffers (valid until the
     next kernel call on this scratch), ``keep`` are the surviving expanded
@@ -705,7 +691,7 @@ def fused_level(
     # two-pin DP method crosses (a no-op dict probe when REPRO_FAULTS is
     # unset; allocates nothing, so the hot-alloc discipline holds).
     faults.maybe_inject("kernels.fused-level")
-    _traverse_in_place(scratch, interval, caps, delays, exact_traversal)
+    _traverse_in_place(scratch, interval, caps, delays)
     count = len(caps)
     branches = len(cap_lut) + 1
     m = count * branches
@@ -761,7 +747,6 @@ def _batched_traverse(
     caps: np.ndarray,
     delays: np.ndarray,
     counts: np.ndarray,
-    exact: bool,
 ) -> None:
     """Cross every problem's wire interval on the concatenated front.
 
@@ -775,51 +760,40 @@ def _batched_traverse(
     if n == 0:
         return
     tmp = scratch.f_a[:n]
-    if exact:
-        max_pieces = max(len(interval.piece_resistance) for interval in intervals)
-        for piece in range(max_pieces):
-            resistance = np.repeat(
-                [
-                    interval.piece_resistance[piece]
-                    if piece < len(interval.piece_resistance)
-                    else 0.0
-                    for interval in intervals
-                ],
-                counts,
-            )
-            half = np.repeat(
-                [
-                    interval.piece_half_capacitance[piece]
-                    if piece < len(interval.piece_half_capacitance)
-                    else 0.0
-                    for interval in intervals
-                ],
-                counts,
-            )
-            capacitance = np.repeat(
-                [
-                    interval.piece_capacitance[piece]
-                    if piece < len(interval.piece_capacitance)
-                    else 0.0
-                    for interval in intervals
-                ],
-                counts,
-            )
-            # delays += r * (half + caps); caps += c  (same grouping).
-            np.add(caps, half, out=tmp)
-            np.multiply(tmp, resistance, out=tmp)
-            np.add(delays, tmp, out=delays)
-            np.add(caps, capacitance, out=caps)
-        return
-    # Affine form; empty intervals have R = C = K = 0 by construction, so
-    # applying them unconditionally is the same bitwise no-op as skipping.
-    resistance = np.repeat([interval.resistance for interval in intervals], counts)
-    constant = np.repeat([interval.delay_constant for interval in intervals], counts)
-    capacitance = np.repeat([interval.capacitance for interval in intervals], counts)
-    np.multiply(caps, resistance, out=tmp)
-    np.add(delays, tmp, out=delays)
-    np.add(delays, constant, out=delays)
-    np.add(caps, capacitance, out=caps)
+    max_pieces = max(len(interval.piece_resistance) for interval in intervals)
+    for piece in range(max_pieces):
+        resistance = np.repeat(
+            [
+                interval.piece_resistance[piece]
+                if piece < len(interval.piece_resistance)
+                else 0.0
+                for interval in intervals
+            ],
+            counts,
+        )
+        half = np.repeat(
+            [
+                interval.piece_half_capacitance[piece]
+                if piece < len(interval.piece_half_capacitance)
+                else 0.0
+                for interval in intervals
+            ],
+            counts,
+        )
+        capacitance = np.repeat(
+            [
+                interval.piece_capacitance[piece]
+                if piece < len(interval.piece_capacitance)
+                else 0.0
+                for interval in intervals
+            ],
+            counts,
+        )
+        # delays += r * (half + caps); caps += c  (same grouping).
+        np.add(caps, half, out=tmp)
+        np.multiply(tmp, resistance, out=tmp)
+        np.add(delays, tmp, out=delays)
+        np.add(caps, capacitance, out=caps)
 
 
 # hot
@@ -1085,13 +1059,12 @@ def fused_level_batched(
     delay_tolerance: float,
     width_tolerance: float,
     full_strategy: bool,
-    exact_traversal: bool = True,
 ):
     """One fused power-aware DP level for a whole *batch* of problems.
 
     ``caps``/``delays``/``widths`` are the concatenated fronts of all
     problems (problem ``p`` owns ``counts[p]`` consecutive rows; mutated in
-    place by the traversal), ``intervals`` the per-problem compiled wire
+    place by the wire crossing), ``intervals`` the per-problem compiled wire
     intervals of this level, and the ``lut_*`` arrays the concatenated
     per-problem insert options (problem ``p``'s ``lut_sizes[p]`` options
     start at ``lut_offsets[p]``; libraries may differ per problem).
@@ -1112,7 +1085,7 @@ def fused_level_batched(
     property-tests the equality.
     """
     counts = np.ascontiguousarray(counts, dtype=np.int64)
-    _batched_traverse(scratch, intervals, caps, delays, counts, exact_traversal)
+    _batched_traverse(scratch, intervals, caps, delays, counts)
     total, m_per, exp_start, seg = _batched_expand(
         scratch,
         caps,
@@ -1170,7 +1143,7 @@ def fused_level_2d_batched(
     expansion here yields bit-identical survivors in identical order).
     """
     counts = np.ascontiguousarray(counts, dtype=np.int64)
-    _batched_traverse(scratch, intervals, caps, delays, counts, True)
+    _batched_traverse(scratch, intervals, caps, delays, counts)
     total, m_per, exp_start, seg = _batched_expand(
         scratch,
         caps,
@@ -1235,7 +1208,7 @@ def fused_level_2d(
     replaces — ``np.argmin`` per branch row, first occurrence on ties,
     is exactly that state.
     """
-    _traverse_in_place(scratch, interval, caps, delays, True)
+    _traverse_in_place(scratch, interval, caps, delays)
     count = len(caps)
     branches = len(cap_lut) + 1
     m = count * branches
@@ -1401,7 +1374,7 @@ def tree_site_level(
     count = len(caps)
     branches = len(cap_lut) + 1
     scratch.ensure(count * branches)
-    _traverse_in_place(scratch, interval, caps, delays, True)
+    _traverse_in_place(scratch, interval, caps, delays)
     m = _expand_level(
         scratch, caps, delays, widths, cap_lut, ratio_lut, width_lut, intrinsic
     )
@@ -1473,127 +1446,3 @@ def tree_prune_front(
     keep = _tree_prune(scratch, m, max_states)
     front_caps, front_delays, front_widths = _tree_gather_front(scratch, keep)
     return front_caps, front_delays, front_widths, keep, m
-
-
-# hot
-def _batched_tree_prune(
-    scratch: DpScratch, m: int, seg: np.ndarray, max_states: np.ndarray
-) -> np.ndarray:
-    """:func:`_tree_prune` with a leading segment-id sort key.
-
-    Segment-major survivors; inside every segment the verdicts and order
-    are exactly the single-problem tree prune's.  ``max_states`` is the
-    per-segment hard cap (one entry per segment); capping is rare and runs
-    off the hot path.
-    """
-    delays = scratch.exp_delays[:m]
-    widths = scratch.exp_widths[:m]
-
-    order = np.lexsort((delays, scratch.exp_caps[:m], widths, seg))
-    widths_sorted = scratch.f_b[:m]
-    widths.take(order, out=widths_sorted)
-    seg_sorted = scratch.i_d[:m]
-    seg.take(order, out=seg_sorted)
-    delays_sorted = scratch.f_c[:m]
-    delays.take(order, out=delays_sorted)
-
-    is_start = scratch.mask[:m]
-    is_start[0] = True
-    np.not_equal(widths_sorted[1:], widths_sorted[:-1], out=is_start[1:])
-    seg_change = scratch.mask_b[:m]
-    np.not_equal(seg_sorted[1:], seg_sorted[:-1], out=seg_change[1:])
-    np.logical_or(is_start[1:], seg_change[1:], out=is_start[1:])
-    index = scratch.arange[:m]
-    group_start = scratch.i_b[:m]
-    group_start[:] = 0
-    np.copyto(group_start, index, where=is_start)
-    np.maximum.accumulate(group_start, out=group_start)
-
-    result = _exclusive_min_scan(scratch, delays_sorted, group_start, is_start, m)
-    survive = scratch.mask[:m]
-    np.less(delays_sorted, result, out=survive)
-    keep = order[survive]
-    if len(keep) > 1:
-        sub = _batched_cross_prune(
-            scratch, keep, seg, delay_tolerance=0.0, width_tolerance=0.0
-        )
-        keep = keep[sub]
-    kept_counts = np.bincount(seg[keep], minlength=len(max_states))
-    if np.any(kept_counts > max_states):
-        keep = _cap_tree_segments(scratch, keep, kept_counts, max_states)
-    return keep
-
-
-def _cap_tree_segments(
-    scratch: DpScratch,
-    keep: np.ndarray,
-    kept_counts: np.ndarray,
-    max_states: np.ndarray,
-) -> np.ndarray:
-    """Per-segment hard front cap (the rare overflow path; not hot).
-
-    ``keep`` is segment-major with ``kept_counts[p]`` consecutive rows per
-    segment; overflowing segments are rebuilt as their ``(width, delay)``
-    lexsort prefix, exactly the single-problem cap.
-    """
-    pieces = []
-    offset = 0
-    for segment in range(len(kept_counts)):
-        kept = int(kept_counts[segment])
-        rows = keep[offset : offset + kept]
-        limit = int(max_states[segment])
-        if kept > limit:
-            rows = rows[
-                np.lexsort(
-                    (scratch.exp_delays[rows], scratch.exp_widths[rows])
-                )[:limit]
-            ]
-        pieces.append(rows)
-        offset += kept
-    return np.concatenate(pieces)
-
-
-# hot
-def tree_site_level_batched(
-    scratch: DpScratch,
-    intervals,
-    caps: np.ndarray,
-    delays: np.ndarray,
-    widths: np.ndarray,
-    counts: np.ndarray,
-    *,
-    lut_caps: np.ndarray,
-    lut_ratios: np.ndarray,
-    lut_widths: np.ndarray,
-    lut_offsets: np.ndarray,
-    lut_sizes: np.ndarray,
-    intrinsic: float,
-    max_states: np.ndarray,
-):
-    """One tree-DP site level for a whole batch of active edges.
-
-    Same contract as :func:`fused_level_batched` — each segment is one
-    active edge of some tree problem (``counts[p]`` front rows, its own
-    compiled gap interval in ``intervals[p]`` and library slice in the
-    concatenated LUTs) — with the zero-tolerance exact-width tree prune and
-    the per-segment hard cap ``max_states``.  Inside every segment the
-    result is bit-identical to :func:`tree_site_level` on that edge alone.
-    """
-    counts = np.ascontiguousarray(counts, dtype=np.int64)
-    scratch.ensure(int(counts.sum()))
-    _batched_traverse(scratch, intervals, caps, delays, counts, True)
-    total, m_per, exp_start, seg = _batched_expand(
-        scratch,
-        caps,
-        delays,
-        widths,
-        counts,
-        lut_caps,
-        lut_ratios,
-        lut_widths,
-        lut_offsets,
-        lut_sizes,
-        intrinsic,
-    )
-    keep = _batched_tree_prune(scratch, total, seg, max_states)
-    return _batched_finish(scratch, keep, seg, exp_start, m_per, len(counts))

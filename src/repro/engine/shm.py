@@ -160,9 +160,6 @@ class SharedPopulationArena:
             return {
                 "upstream": interval.upstream,
                 "downstream": interval.downstream,
-                "resistance": interval.resistance,
-                "capacitance": interval.capacitance,
-                "delay_constant": interval.delay_constant,
                 "piece_resistance": put(interval.piece_resistance),
                 "piece_capacitance": put(interval.piece_capacitance),
                 "piece_half_capacitance": put(interval.piece_half_capacitance),
@@ -330,9 +327,6 @@ class SharedPopulationArena:
             piece_resistance=self._view(meta["piece_resistance"]),
             piece_capacitance=self._view(meta["piece_capacitance"]),
             piece_half_capacitance=self._view(meta["piece_half_capacitance"]),
-            resistance=meta["resistance"],
-            capacitance=meta["capacitance"],
-            delay_constant=meta["delay_constant"],
         )
 
     def _tree_job(self, entry: Dict[str, Any]) -> ArenaJob:

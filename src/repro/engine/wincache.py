@@ -141,7 +141,6 @@ def tree_fingerprint(tree: RoutingTree) -> str:
 def dp_context_fingerprint(
     technology,
     pruning,
-    traversal: str = "exact",
     elmore_evaluator: str = "compiled",
     dp_core: str = "fused",
     analytical: str = "vectorized",
@@ -151,15 +150,13 @@ def dp_context_fingerprint(
     power-aware DP result depends on: the technology constants, the pruning
     configuration (including the kernel — kernels may legitimately differ
     inside the pruning tolerance band, so they must not share frontier
-    entries), the wire-traversal mode (the affine fast mode drifts by
-    ~1 ulp, so it must not share entries with the exact mode either), the
-    Elmore evaluation mode of the surrounding flow (RIP's REFINE step
+    entries), the Elmore evaluation mode of the surrounding flow (RIP's REFINE step
     shapes the final-pass library/window; compiled and walked evaluation
     are bit-identical by contract, but the discipline is that every switch
     that *could* steer a cached result joins the key), the DP core
     (fused/staged — bit-identical by contract, same discipline), the
     analytical-loop mode (vectorized/scalar, ditto) and the tree DP core
-    (reference/fused/batched — bit-identical by contract, and the same
+    (reference/fused — bit-identical by contract, and the same
     context string keys the memoized tree-solution tier, so the knob must
     join the key)."""
     from repro.engine.cache import technology_fingerprint  # heavy module; defer
@@ -173,7 +170,6 @@ def dp_context_fingerprint(
             },
             # The knob values are strings already; coercing through str()
             # here would mask a non-canonical caller (lint R3 bans it).
-            "traversal": traversal,
             "elmore_evaluator": elmore_evaluator,
             "dp_core": dp_core,
             "analytical": analytical,

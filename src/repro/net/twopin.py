@@ -239,7 +239,7 @@ class TwoPinNet:
         Each piece is a ``(resistance_per_meter, capacitance_per_meter,
         length)`` triple.  Segment boundaries strictly inside the interval
         split it into pieces; this is the representation the Elmore evaluator
-        and the DP wire-traversal both consume.
+        and the DP wire walk both consume.
         """
         start = self._check_position(start, "start")
         end = self._check_position(end, "end")

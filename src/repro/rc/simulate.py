@@ -5,7 +5,9 @@ estimates are validated in the test suite.  The circuits involved are pure
 RC networks driven by an ideal voltage step through a source resistance, so
 nodal analysis reduces to the linear ODE ``C dv/dt = -G v + b(t)`` which is
 integrated with an unconditionally stable backward-Euler scheme (the systems
-are stiff: wire time constants span several orders of magnitude).
+are stiff: wire time constants span several orders of magnitude).  The step
+matrix is fixed, so it is solved once per simulation with numpy and every
+time step is one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from repro.rc.network import RCTree
 from repro.utils.validation import require, require_non_negative, require_positive
@@ -77,13 +78,16 @@ def _backward_euler(
     require(steps >= 2, "steps must be >= 2")
     dt = t_end / steps
     system = capacitance / dt + conductance
-    factor = lu_factor(system)
+    # (C/dt + G) v_next = (C/dt) v + b  =>  v_next = A v + c, with A and c
+    # from one solve against the fixed system matrix.
+    solved = np.linalg.solve(system, np.column_stack((capacitance / dt, source_vector)))
+    step_matrix = solved[:, :-1]
+    step_offset = solved[:, -1]
     voltages = np.zeros(conductance.shape[0])
     times = np.linspace(0.0, t_end, steps + 1)
     history = np.zeros((steps + 1, conductance.shape[0]))
     for step in range(1, steps + 1):
-        rhs = capacitance @ voltages / dt + source_vector
-        voltages = lu_solve(factor, rhs)
+        voltages = step_matrix @ voltages + step_offset
         history[step] = voltages
     return times, history
 

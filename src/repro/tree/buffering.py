@@ -8,8 +8,8 @@ worst (maximum) downstream delay.  All sinks share one timing target, so the
 per-state delay coordinate is simply the worst sink delay below that point.
 
 This engine is the substrate for the paper's stated future work (extending
-the hybrid scheme to trees).  Like the two-pin engine it ships multiple
-interchangeable cores behind one knob:
+the hybrid scheme to trees).  Like the two-pin engine it ships a production
+core and an oracle behind one knob:
 
 ``core="reference"``
     The original plain-Python state lists.  Every state carries its
@@ -22,12 +22,8 @@ interchangeable cores behind one knob:
     :func:`tree_merge_level`, :func:`tree_prune_front`), with back-pointer
     traces instead of per-state assignment tuples.  Bit-for-bit identical
     fronts, solutions and statistics.
-``core="batched"``
-    Delegates to :class:`repro.engine.batched.BatchedDpDriver`, which runs
-    many tree problems' active edges through one segment-id batched level
-    kernel per site step.  Also bit-for-bit identical.
 
-On a degenerate tree (a chain) all cores produce exactly the same results
+On a degenerate tree (a chain) both cores produce exactly the same results
 as :class:`repro.dp.PowerAwareDp` — including through the compiled path —
 which is checked bitwise in the integration tests.
 """
@@ -56,7 +52,7 @@ from repro.tree.rctree import RoutingTree, TreeEdge
 from repro.utils.pareto import prune_pareto_3d
 from repro.utils.validation import require, require_positive
 
-TREE_CORES = ("reference", "fused", "batched")
+TREE_CORES = ("reference", "fused")
 
 
 @dataclass(frozen=True)
@@ -264,23 +260,6 @@ class TreePowerDp:
         for target in targets:
             require_positive(target, "timing_target")
         tree.validate()
-
-        if self._core == "batched":
-            from repro.engine.batched import BatchedDpDriver, TreeDpProblem
-
-            driver = BatchedDpDriver(self._technology, scratch=self._scratch)
-            return driver.run_tree_power(
-                [
-                    TreeDpProblem(
-                        tree=tree,
-                        library=library,
-                        timing_targets=tuple(targets),
-                        compiled=compiled,
-                        site_pitch=self._site_pitch,
-                        max_states_per_node=self._max_states,
-                    )
-                ]
-            )[0]
 
         if compiled is None:
             compiled = CompiledTree(tree, self._site_pitch)
@@ -701,7 +680,6 @@ class TreePowerDp:
             compiled_edge.intervals[len(compiled_edge.sites)],
             edge_caps,
             edge_delays,
-            True,
         )
         trace = _TreeEdgeTrace(
             parent=compiled_edge.parent,
@@ -761,7 +739,7 @@ def _assignments_from_trace(
     index: int,
     library_widths: np.ndarray,
 ) -> List[TreeBufferAssignment]:
-    """Backtrack one root-front state through the fused/batched traces.
+    """Backtrack one root-front state through the fused traces.
 
     Reproduces the reference core's assignment tuple exactly: per node,
     each child's subtree assignments followed by that child's edge

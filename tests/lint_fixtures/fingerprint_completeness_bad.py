@@ -12,7 +12,7 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class ToyDpConfig:
     kernel: str = "vectorized"
-    traversal: str = "iterative"  # expect: fingerprint-completeness
+    evaluator: str = "walked"  # expect: fingerprint-completeness
 
 
 def dp_context_fingerprint(config):

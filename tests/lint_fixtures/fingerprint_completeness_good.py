@@ -7,16 +7,16 @@ from dataclasses import dataclass, fields
 @dataclass(frozen=True)
 class ToyDpConfig:
     kernel: str = "vectorized"
-    traversal: str = "iterative"
+    evaluator: str = "walked"
 
 
 @dataclass(frozen=True)
 class SweptSpec:
-    evaluator: str = "compiled"
+    analytical: str = "scalar"
 
 
 def dp_context_fingerprint(config):
-    return {"kernel": config.kernel, "traversal": config.traversal}
+    return {"kernel": config.kernel, "evaluator": config.evaluator}
 
 
 def swept_fingerprint(swept):

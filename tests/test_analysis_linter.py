@@ -142,7 +142,7 @@ def test_fingerprint_rule_inactive_without_dp_context_builder(tmp_path):
     path = tmp_path / "lone_config.py"
     path.write_text(
         "class ToyDpConfig:\n"
-        "    traversal: str = 'iterative'\n"
+        "    evaluator: str = 'walked'\n"
     )
     assert lint_paths([path]) == []
 

@@ -208,10 +208,10 @@ def test_width_solver_sweep_modes_identical(cases, solver_cls):
             slow = scalar.solve(case.net, positions, target)
             assert _solution_signature(fast) == _solution_signature(slow)
             seeded_fast = vectorized.solve(
-                case.net, positions, target, initial_lambda=fast.lagrange_multiplier
+                case.net, positions, target, initial_widths=fast.widths
             )
             seeded_slow = scalar.solve(
-                case.net, positions, target, initial_lambda=slow.lagrange_multiplier
+                case.net, positions, target, initial_widths=slow.widths
             )
             assert _solution_signature(seeded_fast) == _solution_signature(seeded_slow)
 
@@ -261,9 +261,7 @@ def test_refine_analytical_modes_identical(cases):
     """Whole REFINE runs agree bit-for-bit between analytical modes."""
 
     def refine_all(analytical):
-        refine = Refine(
-            NODE_180NM, config=RefineConfig(analytical=analytical, warm_start=False)
-        )
+        refine = Refine(NODE_180NM, config=RefineConfig(analytical=analytical))
         rows = []
         rng = np.random.default_rng(41)
         for case in cases:

@@ -5,9 +5,8 @@ seed population with ``RefineConfig.evaluator`` set to ``"compiled"`` and to
 ``"walked"`` and asserts the outcomes are **identical** — feasibility
 verdicts, refined positions/widths, reported delays and the final discrete
 solutions (same shape as ``test_engine_equivalence.py`` for the DP kernels).
-Unlike the warm-start tests, which allow solver-tolerance drift, the
-compiled evaluator is bit-exact by contract, so everything is compared with
-``==``.
+The compiled evaluator is bit-exact by contract, so everything is compared
+with ``==``.
 """
 
 from __future__ import annotations
@@ -94,9 +93,9 @@ def test_solver_warm_seed_identical_across_evaluators(tech):
     target = 0.85 * unbuffered_net_delay(net, tech)
     walked_solver = DualBisectionWidthSolver(tech, evaluator="walked")
     compiled_solver = DualBisectionWidthSolver(tech, evaluator="compiled")
-    seed = walked_solver.solve(net, positions, target).lagrange_multiplier
-    walked = walked_solver.solve(net, positions, target, initial_lambda=seed)
-    compiled = compiled_solver.solve(net, positions, target, initial_lambda=seed)
+    seed = walked_solver.solve(net, positions, target).widths
+    walked = walked_solver.solve(net, positions, target, initial_widths=seed)
+    compiled = compiled_solver.solve(net, positions, target, initial_widths=seed)
     assert compiled.widths == walked.widths
     assert compiled.delay == walked.delay
     assert compiled.iterations == walked.iterations

@@ -72,9 +72,6 @@ def test_arena_publish_attach_round_trip(cases):
                 ):
                     assert mine.upstream == theirs.upstream
                     assert mine.downstream == theirs.downstream
-                    assert mine.resistance == theirs.resistance
-                    assert mine.capacitance == theirs.capacitance
-                    assert mine.delay_constant == theirs.delay_constant
                     assert np.array_equal(
                         mine.piece_resistance, theirs.piece_resistance
                     )

@@ -1,5 +1,10 @@
 """Tests for the general RC-network substrate (tree Elmore, moments, MNA)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.delay.moments import ladder_moments
@@ -163,3 +168,23 @@ def test_simulation_validates_inputs():
     tree = _balanced_tree()
     with pytest.raises(ValidationError):
         simulate_tree_step(tree, "nope", source_resistance=10.0, t_end=1.0)
+
+
+def test_simulator_needs_only_numpy():
+    """The package and its RC simulator import no scipy (numpy is the only
+    runtime dependency); checked in a fresh interpreter so other tests'
+    imports cannot mask it."""
+    code = (
+        "import sys, repro, repro.rc.simulate;"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -1,19 +1,12 @@
-"""Warm-started REFINE: agreement with cold start, continuations, persistence.
+"""The REFINE exact-hit memo: continuations and their persistence.
 
-The contract under test (ISSUE 3 / the design-state layer):
+The contract under test (the design-state layer):
 
-* warm-started width solves agree with cold solves within the solver
-  tolerance at fixed positions, and the warm path can **never** change a
-  feasibility verdict (the feasibility pre-check is shared);
-* across the seed population and all targets, warm-started RIP reaches the
-  same REFINE feasibility verdicts as cold-started RIP, with the analytical
-  solutions agreeing within tolerance (REFINE's move trajectory may diverge
-  by a few percent of total width — ``keep_best`` bounds it and the final
-  discrete DP pass absorbs it);
 * byte-identical repeated queries are answered from the per-net
   :class:`RefineContinuation` record verbatim (idempotent service
-  semantics), and the records round-trip through the
-  :class:`RefineRecordStore` disk tier bit-for-bit.
+  semantics);
+* the records round-trip through the :class:`RefineRecordStore` disk tier
+  bit-for-bit, under its LRU count and byte budgets.
 """
 
 from __future__ import annotations
@@ -22,18 +15,16 @@ import json
 
 import pytest
 
-from repro.analytical.width_solver import DualBisectionWidthSolver
 from repro.core.refine import (
     REFINE_RECORD_FORMAT_VERSION,
     Refine,
     RefineConfig,
     RefineContinuation,
     RefineRecordStore,
-    RefineSeed,
     refine_result_from_payload,
     refine_result_to_payload,
 )
-from repro.core.rip import Rip, RipConfig, refine_context_fingerprint
+from repro.core.rip import Rip, refine_context_fingerprint
 from repro.core.solution import InsertionSolution
 from repro.delay.elmore import unbuffered_net_delay
 from repro.engine.cache import ProtocolConfig, ProtocolStore
@@ -50,106 +41,8 @@ def population():
 
 
 # --------------------------------------------------------------------------- #
-# solver level: warm lambda seeding at fixed positions
+# RIP level: repeated queries through the exact-hit memo
 # --------------------------------------------------------------------------- #
-def _fixed_problem(tech):
-    net = build_uniform_net(tech, length_um=12000.0, segments=6, name="warm")
-    positions = [0.25 * net.total_length, 0.5 * net.total_length, 0.75 * net.total_length]
-    target = 0.8 * unbuffered_net_delay(net, tech)
-    return net, positions, target
-
-
-def test_solver_warm_seed_matches_cold_within_tolerance(tech):
-    net, positions, target = _fixed_problem(tech)
-    solver = DualBisectionWidthSolver(tech)
-    cold = solver.solve(net, positions, target)
-    assert cold.feasible
-    warm = solver.solve(
-        net,
-        positions,
-        target,
-        initial_widths=cold.widths,
-        initial_lambda=cold.lagrange_multiplier,
-    )
-    assert warm.feasible
-    # Both solves pin delay to the target within the solver tolerance.
-    assert abs(warm.delay - target) <= 2e-4 * target
-    assert abs(cold.delay - target) <= 2e-4 * target
-    assert warm.total_width == pytest.approx(cold.total_width, rel=5e-3)
-    # The warm bracket is tight: far fewer evaluations than the cold solve.
-    assert warm.iterations <= cold.iterations
-
-
-def test_solver_garbage_seed_falls_back_to_cold(tech):
-    net, positions, target = _fixed_problem(tech)
-    solver = DualBisectionWidthSolver(tech)
-    cold = solver.solve(net, positions, target)
-    for seed in (1e-300, 1e300, cold.lagrange_multiplier * 1e9):
-        warm = solver.solve(net, positions, target, initial_lambda=seed)
-        assert warm.feasible == cold.feasible
-        assert warm.total_width == pytest.approx(cold.total_width, rel=5e-3)
-
-
-def test_solver_warm_seed_never_flips_infeasible_verdict(tech):
-    net, positions, _ = _fixed_problem(tech)
-    solver = DualBisectionWidthSolver(tech)
-    impossible = 1e-12
-    cold = solver.solve(net, positions, impossible)
-    warm = solver.solve(net, positions, impossible, initial_lambda=1.0)
-    assert not cold.feasible and not warm.feasible
-
-
-def test_solver_warm_seed_preserves_min_width_regime(tech):
-    # A very loose target is met even by minimum widths; the warm path must
-    # reach the same (cold-detected) min-width verdict via its fallback.
-    net, positions, _ = _fixed_problem(tech)
-    loose = 50.0 * unbuffered_net_delay(net, tech)
-    solver = DualBisectionWidthSolver(tech)
-    cold = solver.solve(net, positions, loose)
-    warm = solver.solve(net, positions, loose, initial_lambda=1e-6)
-    assert cold.feasible and warm.feasible
-    assert all(width == tech.repeater.min_width for width in cold.widths)
-    assert warm.widths == cold.widths
-
-
-# --------------------------------------------------------------------------- #
-# population level: warm vs. cold RIP across all targets
-# --------------------------------------------------------------------------- #
-def _sweep(tech, cases, warm):
-    config = RipConfig(refine=RefineConfig(warm_start=warm))
-    rows = []
-    for case in cases:
-        rip = Rip(tech, config, window_cache=False)
-        prepared = rip.prepare(case.net)
-        for target in case.targets:
-            result = rip.run_prepared(prepared, target)
-            rows.append((case.net.name, target, result))
-    return rows
-
-
-def test_warm_and_cold_refine_agree_across_population(tech, population):
-    cold = _sweep(tech, population, warm=False)
-    warm = _sweep(tech, population, warm=True)
-    assert len(cold) == len(warm)
-    for (name_c, target_c, res_c), (name_w, target_w, res_w) in zip(cold, warm):
-        assert (name_c, target_c) == (name_w, target_w)
-        # The continuation never changes feasibility verdicts — neither
-        # REFINE's nor the final discrete result's.
-        assert bool(res_c.refined.feasible) == bool(res_w.refined.feasible)
-        assert res_c.feasible == res_w.feasible
-        if res_c.refined.feasible:
-            # Analytical agreement: delay within solver tolerance bands,
-            # total width within the keep_best-bounded trajectory envelope.
-            assert abs(res_c.refined.delay - res_w.refined.delay) <= 5e-3 * target_c
-            assert res_w.refined.total_width == pytest.approx(
-                res_c.refined.total_width, rel=0.10
-            )
-        if res_c.feasible:
-            # The discrete final pass absorbs the analytical drift almost
-            # always entirely; allow one fine-grid step of slack.
-            assert res_w.total_width == pytest.approx(res_c.total_width, rel=0.05)
-
-
 def test_warm_repeated_sweep_is_bit_identical_and_memoized(tech, population):
     case = population[0]
     rip = Rip(tech, window_cache=False)
@@ -157,7 +50,7 @@ def test_warm_repeated_sweep_is_bit_identical_and_memoized(tech, population):
     first = [rip.run_prepared(prepared, target) for target in case.targets]
     before = rip.continuation_statistics
     assert before.exact_hits == 0
-    assert before.seeded_runs + before.cold_runs == len(case.targets)
+    assert before.cold_runs == len(case.targets)
     second = [rip.run_prepared(prepared, target) for target in case.targets]
     after = rip.continuation_statistics
     assert after.exact_hits == len(case.targets)
@@ -178,27 +71,6 @@ def _result_for(tech, net, target, count=2):
     positions = [net.total_length * (i + 1) / (count + 1) for i in range(count)]
     initial = InsertionSolution.from_lists(positions, [160.0] * count)
     return initial, Refine(tech).run(net, initial, target)
-
-
-def test_continuation_seeds_from_nearest_feasible_target(tech):
-    net = build_uniform_net(tech, length_um=14000.0, segments=7, name="cont")
-    base = 0.8 * unbuffered_net_delay(net, tech)
-    continuation = RefineContinuation()
-    for factor in (1.0, 1.5):
-        initial, result = _result_for(tech, net, factor * base)
-        assert result.feasible
-        continuation.record(factor * base, initial, result)
-    # An infeasible record must never seed.
-    initial, infeasible = _result_for(tech, net, 1e-12)
-    assert not infeasible.feasible
-    continuation.record(1e-12, initial, infeasible)
-
-    seed = continuation.seed_for(1.02 * base)
-    assert isinstance(seed, RefineSeed)
-    near = continuation.exact(base, _result_for(tech, net, base)[0])
-    assert near is not None  # the exact record still resolves
-    # Nearest feasible target is base (not 1.5*base, not the infeasible one).
-    assert seed.lagrange_multiplier == near.lagrange_multiplier
 
 
 def test_continuation_lru_bound_and_exports(tech):
@@ -388,7 +260,7 @@ def test_refine_context_distinguishes_technology_and_config(tech):
     base = refine_context_fingerprint(tech, RefineConfig())
     assert base == refine_context_fingerprint(tech, RefineConfig())
     assert base != refine_context_fingerprint(NODE_90NM, RefineConfig())
-    assert base != refine_context_fingerprint(tech, RefineConfig(warm_start=False))
+    assert base != refine_context_fingerprint(tech, RefineConfig(evaluator="walked"))
     assert base != refine_context_fingerprint(tech, RefineConfig(movement_step=25e-6))
 
 

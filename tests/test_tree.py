@@ -124,7 +124,7 @@ def test_chain_tree_matches_two_pin_dp(tech):
         assert tree_solution.total_width == pytest.approx(chain_point.total_width)
 
 
-@pytest.mark.parametrize("core", ["reference", "fused", "batched"])
+@pytest.mark.parametrize("core", ["reference", "fused"])
 def test_chain_tree_bit_identical_to_two_pin_dp(tech, core):
     """On a degenerate (single-path) tree every tree core must reproduce the
     two-pin power DP *bit for bit* — same widths, delays and repeater

@@ -1,10 +1,10 @@
 """Bit-exactness property suite for the compiled tree-DP engine (ISSUE 8).
 
 The Python reference tree DP (``TreePowerDp(core="reference")``) is the
-oracle; the fused kernels and the cross-tree lockstep driver must reproduce
-it *bit for bit* — buffer assignments, worst-sink delay, total width,
-feasibility and the per-solve statistics — over random trees, degenerate
-chains, wide fan-in merges, hard state caps and infeasible targets.  The
+oracle; the fused kernels must reproduce it *bit for bit* — buffer
+assignments, worst-sink delay, total width, feasibility and the per-solve
+statistics — over random trees, degenerate chains, wide fan-in merges, hard
+state caps and infeasible targets.  The
 serve layer rides the same oracle: the window cache's tree tier, the tree
 serialisation round-trip, the H-tree workload generator and the
 DesignEngine population path (serial and multiprocess/shared-memory) are
@@ -13,7 +13,6 @@ covered here too.
 
 import pytest
 
-from repro.engine.batched import BatchedDpDriver, TreeDpProblem
 from repro.engine.compiled import CompiledTree
 from repro.engine.design import DesignEngine, MethodSpec, build_htree_cases
 from repro.engine.wincache import (
@@ -69,7 +68,7 @@ def _targets_for(tech, tree, library, *, pitch=PITCH, max_states=4000):
 
 
 def _assert_cores_identical(tech, tree, library, targets, *, pitch=PITCH, max_states=4000):
-    """Reference vs fused vs batched: identical solutions and statistics."""
+    """Reference vs fused: identical solutions and statistics."""
     compiled = CompiledTree(tree, pitch)
     outcomes = {}
     for core in ("reference", "fused"):
@@ -81,24 +80,7 @@ def _assert_cores_identical(tech, tree, library, targets, *, pitch=PITCH, max_st
             [_signature(s) for s in solutions],
             _stats_signature(solutions[0].statistics),
         )
-    batched = BatchedDpDriver(tech).run_tree_power(
-        [
-            TreeDpProblem(
-                tree,
-                library,
-                targets,
-                compiled=compiled,
-                site_pitch=pitch,
-                max_states_per_node=max_states,
-            )
-        ]
-    )[0]
-    outcomes["batched"] = (
-        [_signature(s) for s in batched],
-        _stats_signature(batched[0].statistics),
-    )
     assert outcomes["fused"] == outcomes["reference"]
-    assert outcomes["batched"] == outcomes["reference"]
     return outcomes["reference"]
 
 
@@ -196,47 +178,6 @@ def test_run_many_matches_single_target_runs(tech):
     many = dp.run_many(tree, library, targets)
     singles = [dp.run(tree, library, target) for target in targets]
     assert [_signature(s) for s in many] == [_signature(s) for s in singles]
-
-
-def test_batched_driver_many_problems(tech):
-    """A mixed batch (different trees, libraries, state caps) in lockstep
-    equals the per-problem fused core."""
-    problems = []
-    expected = []
-    for seed in range(6):
-        tree = RandomTreeGenerator(
-            tech, TreeGenerationConfig(num_sinks=2 + seed % 3), seed=seed + 30
-        ).generate()
-        library = RepeaterLibrary.uniform_count(40.0, 300.0, 3 + seed % 3)
-        max_states = 10 if seed % 2 else 4000
-        targets = _targets_for(tech, tree, library, max_states=max_states)[1:]
-        compiled = CompiledTree(tree, PITCH)
-        problems.append(
-            TreeDpProblem(
-                tree,
-                library,
-                targets,
-                compiled=compiled,
-                site_pitch=PITCH,
-                max_states_per_node=max_states,
-            )
-        )
-        dp = TreePowerDp(
-            tech, site_pitch=PITCH, max_states_per_node=max_states, core="fused"
-        )
-        solutions = dp.run_many(tree, library, targets, compiled=compiled)
-        expected.append(
-            (
-                [_signature(s) for s in solutions],
-                _stats_signature(solutions[0].statistics),
-            )
-        )
-    batches = BatchedDpDriver(tech).run_tree_power(problems)
-    actual = [
-        ([_signature(s) for s in solutions], _stats_signature(solutions[0].statistics))
-        for solutions in batches
-    ]
-    assert actual == expected
 
 
 # --------------------------------------------------------------------------- #
@@ -342,7 +283,6 @@ def test_design_engine_htree_population_cores_identical(tech):
     methods = [
         MethodSpec.tree_method("tree-ref", library, core="reference"),
         MethodSpec.tree_method("tree-fused", library, core="fused"),
-        MethodSpec.tree_method("tree-batched", library, core="batched"),
     ]
     engine = DesignEngine(tech, window_cache=False)
     try:
@@ -359,7 +299,6 @@ def test_design_engine_htree_population_cores_identical(tech):
                  record.delay, record.num_repeaters)
             )
         assert by_method["tree-fused"] == by_method["tree-ref"]
-        assert by_method["tree-batched"] == by_method["tree-ref"]
 
 
 def test_design_engine_htree_parallel_matches_serial(tech):
