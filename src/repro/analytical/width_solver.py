@@ -231,9 +231,12 @@ class DualBisectionWidthSolver:
         )
         require(len(start) == n, "initial_widths must match the number of positions")
 
+        # Both bracket ends scale one estimate at ``start``: _fixed_point
+        # copies ``start``, so the estimate is the same at either end.
+        estimate = self._lambda_estimate(evaluation, start)
         # Delay at the "infinite lambda" end (delay-optimal widths) tells us
         # whether the target is achievable at all for these positions.
-        lambda_high = self._lambda_estimate(evaluation, start) * 1e6
+        lambda_high = estimate * 1e6
         widths_fast = self._fixed_point(lambda_high, stage_resistance, stage_capacitance, net, start)
         delay_fast = net_delay(widths_fast)
         if delay_fast > timing_target * (1.0 + 1e-12):
@@ -247,7 +250,7 @@ class DualBisectionWidthSolver:
             )
 
         # Bracket: find a small lambda whose delay exceeds the target.
-        lambda_low = self._lambda_estimate(evaluation, start) * 1e-6
+        lambda_low = estimate * 1e-6
         widths = self._fixed_point(lambda_low, stage_resistance, stage_capacitance, net, start)
         delay_low = net_delay(widths)
         guard = 0

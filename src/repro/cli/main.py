@@ -331,16 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission-control queue depth (full queue => HTTP 429)",
     )
     serve.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=10.0,
-        help="micro-batching window: how long a batch stays open for more requests",
-    )
-    serve.add_argument(
         "--max-batch",
         type=int,
         default=64,
-        help="maximum requests drained into one design_population sweep",
+        help=(
+            "maximum requests drained into one design_population sweep "
+            "(a batch is whatever queued while the previous one ran)"
+        ),
     )
     serve.add_argument(
         "--request-timeout",
@@ -395,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="refine-record count budget for --gc (default: RIP's default)",
+        help="refine-record count budget for --gc (default: the REFINE memo's)",
     )
     cache.add_argument(
         "--max-refine-bytes",
@@ -777,7 +774,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"window cache: {cache.hits} hits / {cache.misses} misses "
             f"({cache.hit_rate:.0%} hit rate), "
             f"{cache.frontier_hits} frontier hits, {cache.disk_hits} disk hits, "
-            f"{cache.evictions + cache.disk_evictions} evictions"
+            f"{cache.evictions + cache.disk_evictions} evictions; "
+            f"REFINE memo {cache.refine_hits} hits / "
+            f"{cache.refine_cold_runs} cold runs"
         )
     else:
         print("window cache: disabled")
@@ -864,7 +863,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         budgets=budgets,
         max_queue=args.max_queue,
-        batch_window_seconds=args.batch_window_ms / 1000.0,
         max_batch=args.max_batch,
         request_timeout_seconds=args.request_timeout,
     )
@@ -877,8 +875,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     import os
     from pathlib import Path
 
-    from repro.core.refine import RefineRecordStore
-    from repro.core.rip import Rip
+    from repro.core.refine import RefineMemo, RefineRecordStore
     from repro.engine.wincache import WindowCompilationCache
 
     cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR") or None
@@ -927,7 +924,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         refine_budget = (
             args.max_refine_files
             if args.max_refine_files is not None
-            else Rip.MAX_REFINE_RECORD_FILES
+            else RefineMemo.MAX_RECORD_FILES
         )
         frontier_evicted = WindowCompilationCache(
             cache_dir=wincache_dir,

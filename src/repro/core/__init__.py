@@ -13,13 +13,14 @@ Typical use::
 from repro.core.solution import InsertionSolution
 from repro.core.evaluate import SolutionMetrics, evaluate_solution
 from repro.core.refine import (
+    ContinuationStatistics,
     Refine,
     RefineConfig,
     RefineContinuation,
+    RefineMemo,
     RefineResult,
 )
 from repro.core.rip import (
-    ContinuationStatistics,
     InfeasibleNetError,
     PreparedNet,
     Rip,
@@ -34,6 +35,7 @@ __all__ = [
     "Refine",
     "RefineConfig",
     "RefineContinuation",
+    "RefineMemo",
     "RefineResult",
     "ContinuationStatistics",
     "InfeasibleNetError",

@@ -20,11 +20,15 @@ Repeated queries
 ----------------
 Every inner width solve starts from the previous iterate's widths (the
 positions moved by one step, so the widths barely change).  Repeated
-traffic on the same net is answered by the exact-hit memo: RIP keeps a
-per-net :class:`RefineContinuation` that returns the recorded
-:class:`RefineResult` of a byte-identical ``(net, timing target, initial
-solution)`` query verbatim, and :class:`RefineRecordStore` persists those
-records next to the window cache's frontier tier so restarts replay them.
+traffic on the same net is answered by the exact-hit memo: a
+:class:`RefineMemo` keeps one :class:`RefineContinuation` per (REFINE
+context, net) that returns the recorded :class:`RefineResult` of a
+byte-identical ``(net, timing target, initial solution)`` query verbatim,
+and :class:`RefineRecordStore` persists those records next to the window
+cache's frontier tier so restarts replay them.  The memo belongs to the
+window cache (:attr:`~repro.engine.wincache.WindowCompilationCache.refine_memo`),
+so it lives as long as the engine, tenant partition or worker process
+that owns the cache, not just one design task.
 
 Most of a computed run's cost is the solver's Elmore evaluations;
 ``RefineConfig.evaluator`` selects the compiled per-(net, positions)
@@ -39,7 +43,7 @@ import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analytical.derivatives import (
     location_derivative_arrays,
@@ -184,8 +188,6 @@ class RefineContinuation:
         require(max_entries >= 1, "max_entries must be >= 1")
         self._max_entries = max_entries
         self._results: "OrderedDict[tuple, RefineResult]" = OrderedDict()
-        self.exact_hits = 0
-        self.cold_runs = 0
 
     def __len__(self) -> int:
         return len(self._results)
@@ -201,7 +203,6 @@ class RefineContinuation:
         key = self._key(timing_target, initial)
         cached = self._results.get(key)
         if cached is not None:
-            self.exact_hits += 1
             self._results.move_to_end(key)
         return cached
 
@@ -411,6 +412,117 @@ class RefineRecordStore:
         except OSError:  # pragma: no cover - disk persistence is best-effort
             return
         self._budget.note_save(path, self._evict)
+
+
+@dataclass(frozen=True)
+class ContinuationStatistics:
+    """Counters of one :class:`RefineMemo` (``nets`` is a gauge)."""
+
+    exact_hits: int
+    cold_runs: int
+    nets: int
+
+    @property
+    def runs(self) -> int:
+        """Total REFINE queries answered (memoized or computed)."""
+        return self.exact_hits + self.cold_runs
+
+
+class RefineMemo:
+    """Exact-hit REFINE records of many nets, LRU-bounded by net.
+
+    One :class:`RefineContinuation` per ``(context, net fingerprint)``,
+    where ``context`` fingerprints the technology and the full
+    :class:`RefineConfig` (:func:`repro.core.rip.refine_context_fingerprint`),
+    so differently configured inserters sharing one memo never serve each
+    other's runs.  At most ``max_nets`` continuations stay in memory.
+
+    With ``cache_dir`` set, a continuation first seen in this memo imports
+    the net's :class:`RefineRecordStore` file, and every computed run
+    rewrites that file, so restarts replay the records.
+
+    Not thread-safe, like the window cache that owns it.
+    """
+
+    #: Disk budget (record-file count) of the persistent refine-record tier;
+    #: deliberately larger than the window cache's default entry bound so a
+    #: service cycling through more nets than the memo holds still finds
+    #: its records on disk.
+    MAX_RECORD_FILES = 1024
+
+    def __init__(
+        self, max_nets: int = 512, *, cache_dir: Optional[os.PathLike] = None
+    ) -> None:
+        require(max_nets >= 1, "max_nets must be >= 1")
+        self._max_nets = max_nets
+        self._cache_dir = Path(cache_dir) if cache_dir is not None else None
+        self._continuations: "OrderedDict[Tuple[str, str], RefineContinuation]" = (
+            OrderedDict()
+        )
+        self._stores: Dict[str, RefineRecordStore] = {}
+        self._exact_hits = 0
+        self._cold_runs = 0
+
+    @property
+    def statistics(self) -> ContinuationStatistics:
+        """Monotone hit/cold-run counters (kept across LRU evictions)."""
+        return ContinuationStatistics(
+            exact_hits=self._exact_hits,
+            cold_runs=self._cold_runs,
+            nets=len(self._continuations),
+        )
+
+    def clear(self) -> None:
+        """Drop every in-memory record and zero the counters (disk files stay)."""
+        self._continuations.clear()
+        self._exact_hits = 0
+        self._cold_runs = 0
+
+    def result(
+        self,
+        context: str,
+        net_fingerprint: str,
+        timing_target: float,
+        initial: InsertionSolution,
+        compute: Callable[[], RefineResult],
+    ) -> RefineResult:
+        """The recorded result of a byte-identical earlier query, else
+        ``compute()`` — recorded (and persisted) for the next repeat."""
+        continuation = self._continuation(context, net_fingerprint)
+        cached = continuation.exact(timing_target, initial)
+        if cached is not None:
+            self._exact_hits += 1
+            return cached
+        self._cold_runs += 1
+        refined = compute()
+        continuation.record(timing_target, initial, refined)
+        store = self._stores.get(context)
+        if store is not None:
+            # Rewrites the net's (small) record file per computed run —
+            # quadratic in targets but ~1ms per save against ~10ms per
+            # avoided REFINE run, and crash-safe at every point.
+            store.save(net_fingerprint, continuation)
+        return refined
+
+    def _continuation(self, context: str, net_fingerprint: str) -> RefineContinuation:
+        key = (context, net_fingerprint)
+        continuation = self._continuations.get(key)
+        if continuation is not None:
+            self._continuations.move_to_end(key)
+            return continuation
+        continuation = RefineContinuation()
+        if self._cache_dir is not None:
+            store = self._stores.get(context)
+            if store is None:
+                store = RefineRecordStore(
+                    self._cache_dir, context, max_files=self.MAX_RECORD_FILES
+                )
+                self._stores[context] = store
+            store.load(net_fingerprint, continuation)
+        self._continuations[key] = continuation
+        while len(self._continuations) > self._max_nets:
+            self._continuations.popitem(last=False)
+        return continuation
 
 
 class Refine:

@@ -29,10 +29,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.evaluate import SolutionMetrics, evaluate_solution
 from repro.core.refine import (
+    ContinuationStatistics,
     Refine,
     RefineConfig,
-    RefineContinuation,
-    RefineRecordStore,
+    RefineMemo,
     RefineResult,
 )
 from repro.core.solution import InsertionSolution
@@ -129,8 +129,8 @@ class RipConfig:
         Pitch of those extra positions, meters (paper: 50 µm).
     refine:
         Configuration of the embedded REFINE algorithm.  Byte-identical
-        repeated REFINE queries are answered from the per-net
-        :class:`~repro.core.refine.RefineContinuation` record outright.
+        repeated REFINE queries are answered from the exact-hit
+        :class:`~repro.core.refine.RefineMemo` outright.
         Its ``evaluator`` flag selects the compiled per-(net, positions)
         Elmore evaluation of the width solver (default; bit-for-bit equal
         to the walked oracle) and joins the dp-context fingerprint of the
@@ -192,20 +192,6 @@ class PreparedNet:
     coarse_result: PowerDpResult
     coarse_candidates: Tuple[float, ...]
     preparation_seconds: float
-
-
-@dataclass(frozen=True)
-class ContinuationStatistics:
-    """Aggregate instrumentation of one inserter's REFINE continuations."""
-
-    exact_hits: int
-    cold_runs: int
-    nets: int
-
-    @property
-    def runs(self) -> int:
-        """Total REFINE queries answered (memoized or computed)."""
-        return self.exact_hits + self.cold_runs
 
 
 @dataclass(frozen=True)
@@ -319,20 +305,18 @@ class Rip:
     :class:`~repro.engine.wincache.WindowCompilationCache` (so repeated
     targets on the same net reuse candidate grids and compiled wire
     intervals), an explicit cache instance is shared as given (the batch
-    engine passes one per net task), and ``False`` disables caching.
-    Results are bit-for-bit identical with the cache on or off — keys use
-    exact float equality, never quantization.
+    engine passes its engine-, tenant- or worker-lifetime cache to every
+    net task), and ``False`` disables caching.  Results are bit-for-bit
+    identical with the cache on or off — keys use exact float equality,
+    never quantization.
+
+    REFINE runs go through the exact-hit
+    :class:`~repro.core.refine.RefineMemo` of the window cache
+    (``window_cache.refine_memo``), so a short-lived inserter built per
+    task still answers a repeated ``(net, target, coarse solution)`` query
+    from the records of earlier tasks on the same cache.  Without a window
+    cache the inserter keeps a private memo.
     """
-
-    #: LRU bound on the number of nets with live REFINE continuations.
-    MAX_CONTINUATION_NETS = 256
-
-    #: Disk budget (record-file count) of the persistent refine-record tier;
-    #: deliberately larger than the in-memory LRU so a service cycling
-    #: through more nets than MAX_CONTINUATION_NETS still finds its records
-    #: on disk after re-attach.  Override on the class (or construct
-    #: :class:`~repro.core.refine.RefineRecordStore` directly) to retune.
-    MAX_REFINE_RECORD_FILES = 1024
 
     def __init__(
         self,
@@ -350,21 +334,16 @@ class Rip:
         )
         self._refine = Refine(technology, config=self._config.refine)
         self._window_cache = resolve_window_cache(window_cache)
-        # Per-net exact-hit REFINE records, keyed by the process-stable net
-        # fingerprint.  When the window cache is disk-backed, the records
-        # share its directory, so they survive process restarts too.
-        self._continuations: "OrderedDict[str, RefineContinuation]" = OrderedDict()
-        # Counters of continuations already evicted from the LRU, so the
-        # reported statistics stay monotone across evictions.
-        self._evicted_exact_hits = 0
-        self._evicted_cold_runs = 0
-        self._refine_store: Optional[RefineRecordStore] = None
-        if self._window_cache is not None and self._window_cache.cache_dir is not None:
-            self._refine_store = RefineRecordStore(
-                self._window_cache.cache_dir,
-                refine_context_fingerprint(technology, self._config.refine),
-                max_files=self.MAX_REFINE_RECORD_FILES,
-            )
+        self._refine_memo = (
+            self._window_cache.refine_memo
+            if self._window_cache is not None
+            else RefineMemo()
+        )
+        # Scopes this inserter's memo entries when the memo is shared
+        # across differently-configured inserters.
+        self._refine_context = refine_context_fingerprint(
+            technology, self._config.refine
+        )
         # Everything a final-pass frontier depends on besides (net, library,
         # candidates); scopes cache entries when the cache is shared across
         # differently-configured inserters.
@@ -397,21 +376,13 @@ class Rip:
 
     @property
     def continuation_statistics(self) -> ContinuationStatistics:
-        """Aggregate REFINE-continuation counters over this inserter's nets
-        (monotone: counters of LRU-evicted continuations are retained)."""
-        return ContinuationStatistics(
-            exact_hits=self._evicted_exact_hits
-            + sum(c.exact_hits for c in self._continuations.values()),
-            cold_runs=self._evicted_cold_runs
-            + sum(c.cold_runs for c in self._continuations.values()),
-            nets=len(self._continuations),
-        )
+        """Counters of the REFINE memo this inserter answers from — shared
+        with every inserter on the same window cache."""
+        return self._refine_memo.statistics
 
     def reset_continuations(self) -> None:
-        """Drop all REFINE continuation records (counters included)."""
-        self._continuations.clear()
-        self._evicted_exact_hits = 0
-        self._evicted_cold_runs = 0
+        """Drop all records of this inserter's REFINE memo (counters included)."""
+        self._refine_memo.clear()
 
     # ------------------------------------------------------------------ #
     def prepare(self, net: TwoPinNet) -> PreparedNet:
@@ -672,44 +643,19 @@ class Rip:
         coarse_solution: InsertionSolution,
         timing_target: float,
     ) -> RefineResult:
-        """Run REFINE through the net's exact-hit memo.
+        """Run REFINE through the exact-hit memo.
 
         A byte-identical repeated query ``(net, target, coarse solution)``
-        is answered from the per-net :class:`RefineContinuation` record
-        verbatim (idempotent repeats); otherwise REFINE runs and the new
-        result is recorded.
+        is answered from the memo's record verbatim (idempotent repeats);
+        otherwise REFINE runs and the new result is recorded.
         """
-        continuation = self._continuation_for(net)
-        cached = continuation.exact(timing_target, coarse_solution)
-        if cached is not None:
-            return cached
-        continuation.cold_runs += 1
-        refined = self._refine.run(net, coarse_solution, timing_target)
-        continuation.record(timing_target, coarse_solution, refined)
-        if self._refine_store is not None:
-            # Rewrites the net's (small) record file per computed run —
-            # quadratic in targets but ~1ms per save against ~10ms per
-            # avoided REFINE run, and crash-safe at every point; revisit
-            # with a size budget if record counts grow past the LRU bound.
-            self._refine_store.save(net_fingerprint(net), continuation)
-        return refined
-
-    def _continuation_for(self, net: TwoPinNet) -> RefineContinuation:
-        """The net's continuation record (LRU-bounded across nets)."""
-        key = net_fingerprint(net)
-        continuation = self._continuations.get(key)
-        if continuation is None:
-            continuation = RefineContinuation()
-            if self._refine_store is not None:
-                self._refine_store.load(key, continuation)
-            self._continuations[key] = continuation
-            while len(self._continuations) > self.MAX_CONTINUATION_NETS:
-                _, evicted = self._continuations.popitem(last=False)
-                self._evicted_exact_hits += evicted.exact_hits
-                self._evicted_cold_runs += evicted.cold_runs
-        else:
-            self._continuations.move_to_end(key)
-        return continuation
+        return self._refine_memo.result(
+            self._refine_context,
+            net_fingerprint(net),
+            timing_target,
+            coarse_solution,
+            lambda: self._refine.run(net, coarse_solution, timing_target),
+        )
 
     # ------------------------------------------------------------------ #
     def _run_final_dp(

@@ -36,18 +36,24 @@ serial path reuses an engine-lifetime
 :class:`~repro.engine.wincache.WindowCompilationCache` across every task
 and every ``design_population`` call, and the parallel path attaches each
 worker process to a per-process cache via a pool initializer
-(:func:`_attach_window_cache`).  With a disk-backed engine (``store`` has a
-``cache_dir``, or an explicit ``window_cache_dir``) all of them share one
-on-disk frontier/refine-record directory, so repeated sweeps — including
-across process restarts — skip REFINE and the final DP outright.  Each task
-snapshots its cache-counter delta onto ``NetDesignResult.cache_statistics``
-and the engine merges the deltas into ``EngineStatistics.window_cache``, so
-cache behaviour is observable per sweep.
+(:func:`_attach_window_cache`).  Each cache owns REFINE's exact-hit
+:class:`~repro.core.refine.RefineMemo`, so a repeated net answers REFINE
+from the records of earlier tasks although every task builds its own
+:class:`~repro.core.rip.Rip`.  With a disk-backed engine (``store`` has a ``cache_dir``, or an explicit
+``window_cache_dir``) all of them share one on-disk frontier/refine-record
+directory, so repeated sweeps — including across process restarts — skip
+REFINE and the final DP outright.  Each task snapshots its cache-counter
+delta (REFINE memo hits and cold runs included) onto
+``NetDesignResult.cache_statistics`` and the engine merges the deltas into
+``EngineStatistics.window_cache``, so cache behaviour is observable per
+sweep.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
+import threading
 import time
 import traceback
 from dataclasses import asdict, dataclass, replace
@@ -415,7 +421,10 @@ class WindowCacheSpec:
     """Picklable description of the shared window cache a task attaches to.
 
     ``max_files``/``max_bytes`` bound the persistent frontier tier on disk
-    (LRU by mtime — see :class:`WindowCompilationCache`).
+    (LRU by mtime — see :class:`WindowCompilationCache`).  ``partition``
+    names whose cache this is: specs of different partitions never share a
+    cache, even when their budgets match and neither has a directory (the
+    design service gives each tenant its own partition).
     """
 
     enabled: bool = True
@@ -423,11 +432,13 @@ class WindowCacheSpec:
     max_entries: int = 512
     max_files: Optional[int] = WindowCompilationCache.DEFAULT_MAX_FRONTIER_FILES
     max_bytes: Optional[int] = None
+    partition: str = ""
 
 
-#: The process-wide shared cache of worker processes (one per process, all
-#: attached to the same on-disk tier when the spec is disk-backed).
-_PROCESS_WINDOW_CACHE: Optional[WindowCompilationCache] = None
+#: The process-wide shared cache of worker processes and the spec it was
+#: built for (one per process, all attached to the same on-disk tier when
+#: the spec is disk-backed).
+_PROCESS_WINDOW_CACHE: Optional[Tuple[WindowCacheSpec, WindowCompilationCache]] = None
 
 
 def _attach_window_cache(spec: WindowCacheSpec) -> Optional[WindowCompilationCache]:
@@ -441,22 +452,15 @@ def _attach_window_cache(spec: WindowCacheSpec) -> Optional[WindowCompilationCac
     global _PROCESS_WINDOW_CACHE
     if not spec.enabled:
         return None
-    cache = _PROCESS_WINDOW_CACHE
-    if (
-        cache is None
-        or cache.max_entries != spec.max_entries
-        or str(cache.cache_dir or "") != (spec.cache_dir or "")
-        or cache.max_files != spec.max_files
-        or cache.max_bytes != spec.max_bytes
-    ):
+    if _PROCESS_WINDOW_CACHE is None or _PROCESS_WINDOW_CACHE[0] != spec:
         cache = WindowCompilationCache(
             max_entries=spec.max_entries,
             cache_dir=spec.cache_dir,
             max_files=spec.max_files,
             max_bytes=spec.max_bytes,
         )
-        _PROCESS_WINDOW_CACHE = cache
-    return cache
+        _PROCESS_WINDOW_CACHE = (spec, cache)
+    return _PROCESS_WINDOW_CACHE[1]
 
 
 # --------------------------------------------------------------------------- #
@@ -870,8 +874,33 @@ def _attach_population_arena(name: Optional[str]) -> Optional[SharedPopulationAr
     return arena
 
 
+#: How often a pool worker checks that the process that forked it lives.
+_PARENT_POLL_SECONDS = 1.0
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Exit this worker once its parent is gone (it was reparented).
+
+    A SIGKILLed driver cannot shut its pool down, and an orphaned worker
+    otherwise blocks forever on its call queue (or in a hung task), and
+    keeps the multiprocessing resource tracker alive with it.
+    ``PR_SET_PDEATHSIG`` is no substitute: it fires when the forking
+    *thread* exits, not the process.
+    """
+    while os.getppid() == parent_pid:
+        time.sleep(_PARENT_POLL_SECONDS)
+    os._exit(1)
+
+
 def _init_worker(spec: WindowCacheSpec, arena_name: Optional[str] = None) -> None:
-    """Pool initializer: attach the shared window cache and the arena."""
+    """Pool initializer: exit with the driver, attach the shared window
+    cache and the arena."""
+    threading.Thread(
+        target=_exit_with_parent,
+        args=(os.getppid(),),
+        name="rip-parent-watch",
+        daemon=True,
+    ).start()
     _attach_window_cache(spec)
     _attach_population_arena(arena_name)
 
@@ -1093,8 +1122,8 @@ class DesignEngine:
             window_cache_dir = str(self._store.cache_dir / "wincache")
         self._window_cache_spec = WindowCacheSpec(
             enabled=window_cache,
-            # Normalized so _attach_window_cache's reuse check (which
-            # compares against str(Path(...))) matches on every task.
+            # Normalized so equal directories give equal specs (caches
+            # are keyed by spec in the engine and in its workers).
             cache_dir=str(Path(window_cache_dir)) if window_cache_dir is not None else None,
             max_entries=window_cache_entries,
         )

@@ -12,7 +12,8 @@ Across a multi-target sweep those structures repeat heavily: REFINE
 converges to the *same* refined locations for many adjacent timing targets
 (loose targets all land on the unconstrained power optimum), the fallback
 pass re-merges the same coarse grid, and re-runs of the same design hit
-identical inputs.  :class:`WindowCompilationCache` memoizes three layers:
+identical inputs.  :class:`WindowCompilationCache` memoizes three layers
+(plus REFINE's exact-hit memo, see below):
 
 * ``window_candidates`` keyed by ``(net fingerprint, refined locations,
   window, pitch)``;
@@ -26,6 +27,12 @@ identical inputs.  :class:`WindowCompilationCache` memoizes three layers:
   adjacent targets), the second one skips the final DP entirely and reads
   its answer off the memoized frontier — this layer is what turns the
   repeated-window structure into wall-clock savings.
+
+The cache also owns REFINE's exact-hit records
+(:attr:`WindowCompilationCache.refine_memo`, bounded by the same
+``max_entries``): every :class:`~repro.core.rip.Rip` built on the cache
+answers repeated REFINE queries from them, so they live as long as the
+cache, not as long as one inserter.
 
 Keys use **exact** float equality (no quantization), so a cache hit returns
 a structure built from byte-identical inputs — DP results with the cache on
@@ -63,7 +70,7 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple, TypeVar
 
 from repro.analysis import faults
 from repro.dp.candidates import window_candidates
@@ -79,6 +86,9 @@ from repro.tree.rctree import RoutingTree
 from repro.utils.canonical import stable_digest
 from repro.utils.disklru import DiskLruBudget
 from repro.utils.validation import require
+
+if TYPE_CHECKING:
+    from repro.core.refine import RefineMemo
 
 __all__ = [
     "CacheStatistics",
@@ -308,8 +318,12 @@ class CacheStatistics:
 
     ``frontier_misses`` counts in-memory frontier misses; the ``disk_*``
     counters instrument the persistent tier beneath them (a disk hit is
-    still an in-memory miss).  ``entries`` is a gauge (current in-memory
-    entry count), every other field a monotone counter.
+    still an in-memory miss).  ``refine_hits``/``refine_cold_runs`` count
+    REFINE queries the cache's :class:`~repro.core.refine.RefineMemo`
+    answered from a record / computed; they are not window-cache lookups,
+    so ``hits``, ``misses`` and ``hit_rate`` leave them out.  ``entries``
+    is a gauge (current entry count of the three window layers), every
+    other field a monotone counter.
     """
 
     candidate_hits: int = 0
@@ -323,6 +337,8 @@ class CacheStatistics:
     disk_hits: int = 0
     disk_misses: int = 0
     disk_evictions: int = 0
+    refine_hits: int = 0
+    refine_cold_runs: int = 0
 
     @property
     def hits(self) -> int:
@@ -359,6 +375,8 @@ class CacheStatistics:
             disk_hits=self.disk_hits - earlier.disk_hits,
             disk_misses=self.disk_misses - earlier.disk_misses,
             disk_evictions=self.disk_evictions - earlier.disk_evictions,
+            refine_hits=self.refine_hits - earlier.refine_hits,
+            refine_cold_runs=self.refine_cold_runs - earlier.refine_cold_runs,
         )
 
     def merged(self, other: "CacheStatistics") -> "CacheStatistics":
@@ -376,6 +394,8 @@ class CacheStatistics:
             disk_hits=self.disk_hits + other.disk_hits,
             disk_misses=self.disk_misses + other.disk_misses,
             disk_evictions=self.disk_evictions + other.disk_evictions,
+            refine_hits=self.refine_hits + other.refine_hits,
+            refine_cold_runs=self.refine_cold_runs + other.refine_cold_runs,
         )
 
 
@@ -411,9 +431,14 @@ class WindowCompilationCache:
         max_files: Optional[int] = DEFAULT_MAX_FRONTIER_FILES,
         max_bytes: Optional[int] = None,
     ) -> None:
+        # repro.core imports this module; importing it here keeps the
+        # import graph acyclic.
+        from repro.core.refine import RefineMemo
+
         require(max_entries >= 1, "max_entries must be >= 1")
         self._max_entries = max_entries
         self._cache_dir = Path(cache_dir) if cache_dir is not None else None
+        self._refine_memo = RefineMemo(max_entries, cache_dir=self._cache_dir)
         # The shared LRU disk-budget discipline (mtime recency, just-saved
         # survives, tracked-name fast path, periodic full re-scans for
         # concurrent writers) lives in DiskLruBudget.
@@ -448,6 +473,12 @@ class WindowCompilationCache:
         return self._cache_dir
 
     @property
+    def refine_memo(self) -> RefineMemo:
+        """REFINE's exact-hit :class:`~repro.core.refine.RefineMemo`, with
+        its record files in :attr:`cache_dir` when that is set."""
+        return self._refine_memo
+
+    @property
     def max_files(self) -> Optional[int]:
         """Count budget of the frontier disk tier (``None`` = unbounded)."""
         return self._budget.max_files
@@ -460,6 +491,7 @@ class WindowCompilationCache:
     @property
     def statistics(self) -> CacheStatistics:
         """Current hit/miss/eviction counters."""
+        refine = self._refine_memo.statistics
         return CacheStatistics(
             candidate_hits=self._candidate_hits,
             candidate_misses=self._candidate_misses,
@@ -472,10 +504,13 @@ class WindowCompilationCache:
             disk_hits=self._disk_hits,
             disk_misses=self._disk_misses,
             disk_evictions=self._disk_evictions,
+            refine_hits=refine.exact_hits,
+            refine_cold_runs=refine.cold_runs,
         )
 
     def clear(self) -> None:
-        """Drop all in-memory entries (counters and disk files are kept)."""
+        """Drop the window-layer entries (counters, the REFINE memo and disk
+        files are kept)."""
         self._candidates.clear()
         self._compiled.clear()
         self._frontiers.clear()

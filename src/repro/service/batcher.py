@@ -4,8 +4,12 @@ The engine's throughput comes from batch width: one
 :meth:`~repro.engine.design.DesignEngine.design_population` call amortizes
 pool dispatch, window compilation, and the level-batched DP across every
 net it carries.  Serving each HTTP request with its own one-net sweep
-would throw that away, so the batcher holds arriving requests for a short
-window (``batch_window_seconds``, default 10 ms) and drains them together:
+would throw that away, so the batcher batches while the engine is busy:
+the drain loop waits for one request, takes whatever else is already
+queued (up to ``max_batch``) and runs that batch at once.  A lone request
+never waits on a timer; requests that arrive while the engine runs queue
+up and form the next batch, so concurrent clients still share one sweep.
+Each batch is then served like this:
 
 1. requests are grouped by ``(tenant, technology, methods)`` — the axes a
    single ``design_population`` call can carry;
@@ -97,13 +101,11 @@ class MicroBatcher:
         registry: TenantRegistry,
         *,
         max_queue: int = 256,
-        batch_window_seconds: float = 0.010,
         max_batch: int = 64,
     ) -> None:
         self._engine = engine
         self._registry = registry
         self._queue: "asyncio.Queue[_Waiter]" = asyncio.Queue(maxsize=max_queue)
-        self._batch_window = batch_window_seconds
         self._max_batch = max_batch
         # Single-flight: the engine owns the process pool and the shared
         # caches; concurrent design_population calls are serialized here.
@@ -150,22 +152,14 @@ class MicroBatcher:
         return future
 
     async def _drain_forever(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
-            first = await self._queue.get()
-            batch = [first]
-            deadline = loop.time() + self._batch_window
-            # Hold the batch open for the window (or until full) so bursts
-            # of concurrent clients land in one sweep.
+            batch = [await self._queue.get()]
+            # Only what is already queued joins: whatever arrived while the
+            # previous batch ran. Nothing waits for more.
             while len(batch) < self._max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0.0:
-                    break
                 try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), timeout=remaining)
-                    )
-                except asyncio.TimeoutError:
+                    batch.append(self._queue.get_nowait())
+                except asyncio.QueueEmpty:
                     break
             await self._run_batch(batch)
 

@@ -84,7 +84,6 @@ class DesignService:
         *,
         budgets: Optional[TenantBudgets] = None,
         max_queue: int = 256,
-        batch_window_seconds: float = 0.010,
         max_batch: int = 64,
         request_timeout_seconds: float = 60.0,
     ) -> None:
@@ -94,7 +93,6 @@ class DesignService:
             engine,
             self._registry,
             max_queue=max_queue,
-            batch_window_seconds=batch_window_seconds,
             max_batch=max_batch,
         )
         self._request_timeout = request_timeout_seconds
@@ -421,7 +419,6 @@ def run_service(
     port: int = 8787,
     budgets: Optional[TenantBudgets] = None,
     max_queue: int = 256,
-    batch_window_seconds: float = 0.010,
     max_batch: int = 64,
     request_timeout_seconds: float = 60.0,
 ) -> None:
@@ -430,7 +427,6 @@ def run_service(
         engine,
         budgets=budgets,
         max_queue=max_queue,
-        batch_window_seconds=batch_window_seconds,
         max_batch=max_batch,
         request_timeout_seconds=request_timeout_seconds,
     )

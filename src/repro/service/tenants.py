@@ -6,10 +6,12 @@ frontier/refine disk tiers — must not let one tenant evict another's warm
 state or blow the shared disk budget.  The registry therefore hands each
 tenant its own :class:`~repro.engine.design.WindowCacheSpec`: a private
 ``cache_root/tenants/<tenant>/wincache`` directory and an equal slice of
-the configured entry/file/byte budgets.  Because the engine keys its
-shared caches by spec (``DesignEngine.shared_cache_for``), tenants get
-fully isolated in-memory caches too, while the protocol store, pool, and
-shm arena stay shared — those are keyed by content, not by tenant.
+the configured entry/file/byte budgets.  Each spec names its tenant as
+the cache partition, and the engine keys its shared caches by spec
+(``DesignEngine.shared_cache_for``), so tenants get fully isolated
+in-memory caches — REFINE memo included — even without a disk tier,
+while the protocol store, pool, and shm arena stay shared — those are
+keyed by content, not by tenant.
 
 Admission is capacity-bounded: once ``max_tenants`` distinct tenants have
 been seen, requests from new tenants are rejected with
@@ -68,6 +70,7 @@ class TenantBudgets:
                 if self.total_bytes is not None
                 else None
             ),
+            partition=tenant,
         )
 
 
@@ -106,15 +109,19 @@ class TenantRegistry:
         return tuple(self._specs)
 
     def usage(self, engine: DesignEngine) -> Dict[str, Dict[str, int]]:
-        """Per-tenant disk usage of the persistent tiers, for ``/metrics``."""
+        """Per-tenant disk usage of the persistent tiers and REFINE-memo
+        counters of the tenant's partition, for ``/metrics``."""
         usage: Dict[str, Dict[str, int]] = {}
         for tenant, spec in self._specs.items():
             cache = engine.shared_cache_for(spec)
             files, size = cache.disk_usage() if cache is not None else (0, 0)
+            statistics = cache.statistics if cache is not None else None
             usage[tenant] = {
                 "disk_files": files,
                 "disk_bytes": size,
                 "max_files": spec.max_files or 0,
                 "max_entries": spec.max_entries,
+                "refine_hits": statistics.refine_hits if statistics else 0,
+                "refine_cold_runs": statistics.refine_cold_runs if statistics else 0,
             }
         return usage

@@ -257,9 +257,12 @@ def test_serve_parser_accepts_service_flags():
     args = parser.parse_args(
         [
             "serve", "--port", "0", "--max-tenants", "4",
-            "--batch-window-ms", "5", "--max-queue", "16",
+            "--max-queue", "16",
         ]
     )
     assert args.command == "serve"
     assert args.port == 0
     assert args.max_tenants == 4
+    # Batches form while the engine is busy; there is no window to set.
+    with pytest.raises(SystemExit):
+        parser.parse_args(["serve", "--batch-window-ms", "5"])

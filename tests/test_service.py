@@ -10,9 +10,11 @@ response.
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
@@ -20,7 +22,13 @@ import pytest
 
 import repro.engine.design as design_module
 from repro.engine.cache import ProtocolConfig, ProtocolStore
-from repro.engine.design import DesignEngine
+from repro.engine.design import (
+    DesignEngine,
+    EngineStatistics,
+    MethodSpec,
+    NetDesignResult,
+    PopulationDesignResult,
+)
 from repro.net.io import net_to_dict
 from repro.service.batcher import MicroBatcher, _Waiter, group_requests
 from repro.service.schema import (
@@ -198,6 +206,28 @@ def test_tenant_usage_reports_disk(tech, tmp_path):
     assert usage["teamA"]["max_files"] > 0
 
 
+def test_tenant_partitions_keep_separate_refine_memos(tech, tiny_cases):
+    """The same net designed twice per tenant: each partition computes its
+    REFINE runs once and answers its repeat from its own memo, so one
+    tenant's memo never serves the other.  ``usage`` (served in /metrics)
+    reports the counters."""
+    registry = TenantRegistry()
+    case = tiny_cases[0]
+    engine = _engine(tech)
+    try:
+        for tenant in ("teamA", "teamB", "teamA", "teamB"):
+            engine.design_population(
+                [case], [MethodSpec.rip_method()], cache_spec=registry.admit(tenant)
+            )
+        usage = registry.usage(engine)
+    finally:
+        engine.close()
+    runs = len(case.targets)
+    for tenant in ("teamA", "teamB"):
+        assert usage[tenant]["refine_cold_runs"] == runs
+        assert usage[tenant]["refine_hits"] == runs
+
+
 # --------------------------------------------------------------------------- #
 # batcher grouping (pure)
 # --------------------------------------------------------------------------- #
@@ -218,6 +248,79 @@ def test_group_requests_splits_axes_and_dedups(payloads):
     )
     assert len(teama_rip.waiters) == 2  # a1/a2 collapsed, b separate
     assert len(teama_rip.waiters[a1.digest]) == 2
+
+
+class _BlockingEngine:
+    """Stands in for the engine: records the cases of every call, then
+    blocks until released."""
+
+    def __init__(self):
+        self.calls = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def design_population(self, cases, methods, *, technology, cache_spec):
+        self.calls.append([case.net.name for case in cases])
+        self.entered.set()
+        self.release.wait(timeout=30.0)
+        nets = tuple(
+            NetDesignResult(
+                net_name=case.net.name,
+                tau_min=case.tau_min,
+                targets=case.targets,
+                records=(),
+                method_runtimes={},
+                states_generated=0,
+                technology=technology.name,
+            )
+            for case in cases
+        )
+        statistics = EngineStatistics(
+            wall_clock_seconds=0.0, states_generated=0, num_designs=0, workers=0
+        )
+        return PopulationDesignResult(
+            nets=nets, methods=("rip",), statistics=statistics
+        )
+
+
+def test_batcher_runs_lone_request_at_once_and_batches_while_busy(payloads):
+    """A lone request reaches the engine within a few event-loop turns (no
+    timer); requests submitted while the engine is busy drain as one call
+    carrying their deduplicated cases."""
+    engine = _BlockingEngine()
+    a, b, c = (parse_request(payloads[index]) for index in range(3))
+
+    async def scenario():
+        batcher = MicroBatcher(engine, TenantRegistry())
+        batcher.start()
+        try:
+            first = batcher.submit(a)
+            for _ in range(20):
+                if batcher.batches_drained:
+                    break
+                await asyncio.sleep(0)
+            assert batcher.batches_drained == 1
+            loop = asyncio.get_running_loop()
+            assert await loop.run_in_executor(None, engine.entered.wait, 30.0)
+            rest = [batcher.submit(request) for request in (b, c, b)]
+            engine.release.set()
+            answers = await asyncio.wait_for(asyncio.gather(first, *rest), 30.0)
+        finally:
+            engine.release.set()
+            await batcher.stop()
+        return batcher, answers
+
+    batcher, answers = asyncio.run(scenario())
+    assert engine.calls == [
+        [a.case.net.name],
+        [b.case.net.name, c.case.net.name],
+    ]
+    assert batcher.batches_drained == 2
+    assert batcher.requests_served == 4
+    assert batcher.requests_deduplicated == 1
+    assert [answer["request"] for answer in answers] == [
+        a.digest, b.digest, c.digest, b.digest
+    ]
 
 
 # --------------------------------------------------------------------------- #
@@ -309,14 +412,24 @@ def test_rebuilding_pool_degrades_to_503_with_retry_after(tech, payloads):
 
 
 def test_request_timeout_is_504(tech, payloads):
-    bg = serve_in_background(
-        _engine(tech), request_timeout_seconds=0.001, batch_window_seconds=0.05
-    )
+    engine = _engine(tech)
+    release = threading.Event()
+    design_population = engine.design_population
+
+    def held_design_population(*args, **kwargs):
+        # Hold the sweep until the client has its answer, so the request
+        # outlives its timeout whatever the engine's speed.
+        release.wait(timeout=30.0)
+        return design_population(*args, **kwargs)
+
+    engine.design_population = held_design_population
+    bg = serve_in_background(engine, request_timeout_seconds=0.001)
     try:
         status, body = _post(bg.port, "/design", payloads[0])
         assert status == 504
         assert "timed out" in json.loads(body)["error"]
     finally:
+        release.set()
         bg.stop()
 
 

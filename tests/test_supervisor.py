@@ -504,6 +504,26 @@ def _cli_env(**overrides):
     return env
 
 
+def _children(pid):
+    """Pids of the children of every thread of process ``pid``."""
+    children = set()
+    for path in Path(f"/proc/{pid}/task").glob("*/children"):
+        try:
+            children.update(int(token) for token in path.read_text().split())
+        except OSError:  # the thread exited meanwhile
+            continue
+    return children
+
+
+def _running(pid):
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 def _rows(json_path):
     payload = json.loads(Path(json_path).read_text(encoding="utf-8"))
     records = [
@@ -517,7 +537,8 @@ def _rows(json_path):
 def test_cli_driver_kill_then_resume_is_bit_identical(tmp_path):
     """Kill the sweep *driver* mid-run (one net hung so the journal holds
     only the completed siblings), then ``--resume`` in a fresh interpreter:
-    the result equals an uninterrupted healthy sweep."""
+    the result equals an uninterrupted healthy sweep.  The killed driver's
+    pool workers and resource tracker must not outlive it."""
     oracle_json = tmp_path / "oracle.json"
     subprocess.run(
         _sweep_argv(tmp_path / "oracle-cache", oracle_json),
@@ -546,9 +567,18 @@ def test_cli_driver_kill_then_resume_is_bit_identical(tmp_path):
             time.sleep(0.2)
         assert completed >= 2, "journal never recorded the healthy nets"
     finally:
+        children = _children(victim.pid)
         victim.kill()
         victim.wait(timeout=60)
     assert not first_json.exists()  # the driver died before writing output
+
+    assert len(children) >= 2, f"expected the pool's workers, got {children}"
+    deadline = time.monotonic() + 15.0
+    survivors = {pid for pid in children if _running(pid)}
+    while survivors and time.monotonic() < deadline:
+        time.sleep(0.2)
+        survivors = {pid for pid in survivors if _running(pid)}
+    assert not survivors, f"children outlived the killed driver: {sorted(survivors)}"
 
     resumed_json = tmp_path / "resumed.json"
     result = subprocess.run(
@@ -560,8 +590,14 @@ def test_cli_driver_kill_then_resume_is_bit_identical(tmp_path):
     assert _rows(resumed_json) == _rows(oracle_json)
 
 
-def test_cli_resume_requires_disk_cache(capsys):
+def test_cli_resume_requires_disk_cache(capsys, monkeypatch):
+    import repro.engine.cache as cache_module
     from repro.cli.main import main as cli_main
+
+    # REPRO_CACHE_DIR would give the sweep a disk cache, making --resume
+    # legal; so would a process-wide default store built under it earlier.
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    monkeypatch.setattr(cache_module, "_default_store", None)
 
     assert cli_main(["sweep", "--nets", "2", "--resume"]) == 2
     assert "--resume" in capsys.readouterr().err

@@ -18,6 +18,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -275,6 +276,37 @@ def test_parallel_workers_share_disk_tier_and_match_serial(tiny_cases, tech, tmp
     assert parallel.statistics.window_cache.disk_hits > 0  # workers read the tier
 
 
+@pytest.mark.parametrize("workers", [0, 2])
+def test_second_pass_answers_refine_from_the_memo(tiny_cases, tech, tmp_path, workers):
+    """The same cases twice through one engine: the second pass computes no
+    REFINE run and repeats the first pass's records, runtime aside.
+
+    Serially the engine-lifetime memo answers from memory.  A worker pool
+    lives for one sweep, so with ``workers=2`` the second pass's fresh
+    workers reach the first pass's records through the memo's disk tier.
+    """
+
+    def rows(result):
+        return [
+            {k: v for k, v in asdict(r).items() if k != "runtime_seconds"}
+            for r in result.records()
+        ]
+
+    store = ProtocolStore(cache_dir=tmp_path if workers else None)
+    engine = DesignEngine(tech, workers=workers, store=store)
+    try:
+        first = engine.design_population(tiny_cases, [MethodSpec.rip_method()])
+        second = engine.design_population(tiny_cases, [MethodSpec.rip_method()])
+    finally:
+        engine.close()
+    designs = len(first.records())
+    assert designs == len(tiny_cases) * TINY.targets_per_net
+    assert first.statistics.window_cache.refine_cold_runs == designs
+    assert second.statistics.window_cache.refine_cold_runs == 0
+    assert second.statistics.window_cache.refine_hits == designs
+    assert rows(second) == rows(first)
+
+
 def test_attach_window_cache_is_idempotent_per_process(tmp_path):
     spec = WindowCacheSpec(enabled=True, cache_dir=str(tmp_path), max_entries=64)
     first = _attach_window_cache(spec)
@@ -283,6 +315,9 @@ def test_attach_window_cache_is_idempotent_per_process(tmp_path):
     other = _attach_window_cache(WindowCacheSpec(enabled=True, cache_dir=None))
     assert other is not first
     assert _attach_window_cache(WindowCacheSpec(enabled=False)) is None
+    # Equal budgets, no directory: distinct partitions still get distinct caches.
+    tenant = _attach_window_cache(WindowCacheSpec(partition="teamA"))
+    assert tenant is not _attach_window_cache(WindowCacheSpec(partition="teamB"))
 
 
 def test_engine_statistics_surface_store_counters(tech, tmp_path):
