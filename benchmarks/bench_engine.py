@@ -1,6 +1,6 @@
 """Smoke benchmark of the batch DesignEngine — writes ``BENCH_engine.json``.
 
-Ten sections, all but ``tree_dp`` and ``fault_recovery`` on the shared
+Nine sections, all but ``tree_dp`` and ``fault_recovery`` on the shared
 protocol-store population:
 
 * **kernels** — the Table-1-style sweep (RIP + three size-10 baselines)
@@ -28,11 +28,6 @@ protocol-store population:
   (``RefineConfig.evaluator``, ISSUE 4): the whole cold RIP flow must be
   bit-identical between the two, and the REFINE stage itself must clear
   the >= 2x acceptance bar (asserted).
-* **batched_dp** — the cross-target/cross-net lockstep DP
-  (:class:`~repro.engine.batched.BatchedDpDriver`, ISSUE 6) vs. the
-  per-problem fused core on the multi-target sweep shape (one small-library
-  final DP per (net, target)): bit-identical frontiers, >= 1.5x asserted,
-  with nets/s, states/s and the per-level batch front-size histogram.
 * **tree_dp** — multi-sink routing trees on the compiled engine (ISSUE 8):
   the fused per-edge/merge kernels vs. the Python reference tree DP, on an
   H-tree clock population — bit-identical
@@ -450,95 +445,6 @@ def bench_fused_dp(store, protocol, technology):
     }
 
 
-def bench_batched_dp(store, protocol, technology):
-    """Cross-target/cross-net lockstep DP vs. the per-problem fused core.
-
-    The workload is the multi-target sweep shape RIP produces: one final DP
-    per (net, target) with a small design-specific library over the net's
-    candidate grid.  Each problem is tiny — the fused core's per-level cost
-    is numpy *dispatch*, not arithmetic — so the batched driver runs all of
-    them in lockstep through one segment-id kernel call per level.  Results
-    must be bit-identical and the lockstep must clear the >= 1.5x
-    acceptance bar; the per-level front-size histogram shows the row counts
-    the batched kernels actually amortise over.
-    """
-    from repro.engine.batched import BatchedDpDriver, DpProblem
-    from repro.engine.compiled import CompiledNet
-
-    cases = store.cases(protocol)
-    compiled = {case.net.name: CompiledNet(case.net, case.candidates) for case in cases}
-    problems = []
-    for case in cases:
-        for index in range(len(case.targets)):
-            # Mixed library sizes, like RIP's per-target design-specific B.
-            library = RepeaterLibrary.uniform_count(10.0, 400.0, 3 + index % 3)
-            problems.append(
-                DpProblem(case.net, library, compiled[case.net.name], case.candidates)
-            )
-
-    def fused_pass():
-        dp = PowerAwareDp(technology, core="fused")
-        started = time.perf_counter()
-        results = [dp.run(p.net, p.library, compiled=p.compiled) for p in problems]
-        return time.perf_counter() - started, results
-
-    driver = BatchedDpDriver(technology)
-
-    def batched_pass():
-        started = time.perf_counter()
-        results = driver.run_power(problems)
-        return time.perf_counter() - started, results
-
-    fused_seconds, fused_results = fused_pass()
-    batched_seconds, batched_results = batched_pass()
-    for _ in range(2):  # best-of-3 timing; results are deterministic
-        fused_seconds = min(fused_seconds, fused_pass()[0])
-        batched_seconds = min(batched_seconds, batched_pass()[0])
-
-    def signature(results):
-        return [
-            [
-                (p.delay, p.total_width, p.solution.positions, p.solution.widths)
-                for p in result.frontier.points
-            ]
-            for result in results
-        ]
-
-    identical = signature(batched_results) == signature(fused_results)
-    states = sum(r.statistics.states_generated for r in batched_results)
-    speedup = fused_seconds / batched_seconds if batched_seconds > 0 else float("inf")
-    nets_per_second = len(problems) / batched_seconds if batched_seconds > 0 else 0.0
-    states_per_second = states / batched_seconds if batched_seconds > 0 else 0.0
-
-    # Power-of-two-bucketed histogram of the concatenated batch front sizes
-    # per lockstep level (the last run's history — the runs are identical).
-    history = driver.front_size_history
-    histogram = {}
-    for size in history:
-        bucket = 1 << max(0, int(size - 1).bit_length())
-        histogram[bucket] = histogram.get(bucket, 0) + 1
-    histogram = {f"<={bucket}": histogram[bucket] for bucket in sorted(histogram)}
-
-    print(
-        f"[batched-dp] fused {fused_seconds:5.2f}s  batched {batched_seconds:5.2f}s "
-        f"({speedup:.2f}x)  {len(problems)} problems  {nets_per_second:,.0f} nets/s  "
-        f"{states_per_second:,.0f} states/s  identical: {identical}"
-    )
-    return {
-        "num_problems": len(problems),
-        "fused_wall_clock_seconds": fused_seconds,
-        "batched_wall_clock_seconds": batched_seconds,
-        "speedup": speedup,
-        "states_generated": states,
-        "nets_per_second": nets_per_second,
-        "states_per_second": states_per_second,
-        "lockstep_levels": len(history),
-        "max_batch_front_rows": max(history, default=0),
-        "front_size_histogram": histogram,
-        "records_identical": identical,
-    }
-
-
 def bench_tree_dp(technology):
     """Fused tree DP vs. the Python reference oracle on H-trees.
 
@@ -892,7 +798,6 @@ def run(num_nets, targets_per_net, workers, tech_names, output):
     persistence = bench_persistence(store, protocol, technology)
     cold_design = bench_cold_design(store, protocol, technology)
     fused_dp = bench_fused_dp(store, protocol, technology)
-    batched_dp = bench_batched_dp(store, protocol, technology)
     tree_dp = bench_tree_dp(technology)
     technologies = bench_technologies(store, protocol, technology, workers, tech_names)
     service = bench_service(store, protocol, technology)
@@ -910,7 +815,6 @@ def run(num_nets, targets_per_net, workers, tech_names, output):
         "persistence": persistence,
         "cold_design": cold_design,
         "fused_dp": fused_dp,
-        "batched_dp": batched_dp,
         "tree_dp": tree_dp,
         "technologies": technologies,
         "service": service,
@@ -950,13 +854,6 @@ def run(num_nets, targets_per_net, workers, tech_names, output):
             "fused DP throughput did not exceed the kernels sweep: "
             f"{fused_dp['states_per_second']:,.0f} <= "
             f"{kernels['states_per_second']:,.0f} states/s"
-        )
-    if not batched_dp["records_identical"]:
-        raise SystemExit("batched and fused DP results diverged")
-    if batched_dp["speedup"] < 1.5:
-        raise SystemExit(
-            "batched multi-target DP sweep below the 1.5x acceptance bar: "
-            f"{batched_dp['speedup']:.2f}x"
         )
     if not tree_dp["records_identical"]:
         raise SystemExit("fused tree DP diverged from the reference oracle")

@@ -2,8 +2,7 @@
 
 With the environment variable set, the DP drivers
 (:class:`~repro.dp.powerdp.PowerAwareDp`,
-:class:`~repro.dp.vanginneken.DelayOptimalDp`,
-:class:`~repro.engine.batched.BatchedDpDriver`) call into this module at
+:class:`~repro.dp.vanginneken.DelayOptimalDp`) call into this module at
 every kernel boundary, and :class:`~repro.engine.design.DesignEngine`
 verifies shm-arena accounting at ``close()``.  All checks are **read-only**
 — sanitize mode is bit-transparent: it never changes a record, only raises

@@ -233,15 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--dp-core",
-        choices=("fused", "staged", "batched"),
+        choices=("fused", "staged"),
         default="fused",
         help=(
             "DP inner-loop implementation of every DP pass: 'fused' (default) "
             "runs each level as one expand-traverse-prune kernel call on the "
-            "per-worker scratch arena; 'staged' is the per-level oracle; "
-            "'batched' runs the DPs of all targets of a net (and several "
-            "nets) in lockstep with segment-id kernels — all three "
-            "bit-for-bit identical"
+            "per-worker scratch arena; 'staged' is the per-level oracle — "
+            "both bit-for-bit identical"
         ),
     )
     sweep.add_argument(

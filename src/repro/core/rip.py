@@ -23,7 +23,6 @@ neighbourhood.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -39,7 +38,6 @@ from repro.core.solution import InsertionSolution
 from repro.dp.candidates import merge_candidates, uniform_candidates, window_candidates
 from repro.dp.powerdp import PowerAwareDp, PowerDpResult
 from repro.dp.pruning import PruningConfig
-from repro.engine.batched import BatchedDpDriver, DpProblem
 from repro.engine.wincache import (
     WindowCompilationCache,
     dp_context_fingerprint,
@@ -147,11 +145,7 @@ class RipConfig:
         kernel call on the per-worker scratch arena
         (:func:`repro.engine.kernels.fused_level`) — bit-for-bit identical
         frontiers; ``"staged"`` keeps the per-level passes as the fused
-        core's equivalence oracle; ``"batched"`` runs the DPs of many
-        targets (and nets) in lockstep through the
-        :class:`~repro.engine.batched.BatchedDpDriver` — also bit-for-bit
-        identical, with the per-level numpy call overhead amortised across
-        the whole batch.
+        core's equivalence oracle.
     """
 
     coarse_library: RepeaterLibrary = field(default_factory=RepeaterLibrary.paper_coarse)
@@ -172,7 +166,7 @@ class RipConfig:
         require(self.location_window >= 0, "location_window must be >= 0")
         require_positive(self.location_pitch, "location_pitch")
         require(
-            self.dp_core in ("fused", "staged", "batched"),
+            self.dp_core in ("fused", "staged"),
             f"unknown DP core {self.dp_core!r}",
         )
 
@@ -250,51 +244,6 @@ class RipResult:
     def delay(self) -> float:
         """Elmore delay of the final solution, seconds."""
         return self.metrics.delay
-
-
-@dataclass(frozen=True)
-class _TargetPlan:
-    """Steps 1–3 of RIP for one timing target (everything before the final DP)."""
-
-    coarse_solution: InsertionSolution
-    refined: RefineResult
-    final_library: RepeaterLibrary
-    final_candidates: Tuple[float, ...]
-
-
-class _LazyDpBatch:
-    """Lazy lockstep batch of final-DP problems behind cache factories.
-
-    Problems are registered up front (deduped by key); the first
-    ``result`` call whose key has not been computed yet runs *all*
-    still-unresolved problems in one :class:`BatchedDpDriver` lockstep
-    batch.  Keys answered by the window cache simply never trigger their
-    factory — a mixed hit/miss batch may compute a few frontiers the cache
-    already held, which wastes a little work but changes no results.
-    """
-
-    def __init__(self, driver: BatchedDpDriver) -> None:
-        self._driver = driver
-        self._jobs: "OrderedDict[tuple, DpProblem]" = OrderedDict()
-        self._results: dict = {}
-
-    def add(self, key: tuple, problem: DpProblem) -> None:
-        """Register a problem under ``key`` (first registration wins)."""
-        if key not in self._jobs:
-            self._jobs[key] = problem
-
-    def result(self, key: tuple) -> PowerDpResult:
-        """The batch result for ``key``, computing pending problems at once."""
-        if key not in self._results:
-            pending = [
-                (job_key, problem)
-                for job_key, problem in self._jobs.items()
-                if job_key not in self._results
-            ]
-            outcomes = self._driver.run_power([problem for _, problem in pending])
-            for (job_key, _), outcome in zip(pending, outcomes):
-                self._results[job_key] = outcome
-        return self._results[key]
 
 
 class Rip:
@@ -414,52 +363,6 @@ class Rip:
             preparation_seconds=time.perf_counter() - started,
         )
 
-    def prepare_batch(self, nets: Sequence[TwoPinNet]) -> List[PreparedNet]:
-        """Prepare many nets, batching the coarse DP passes across nets.
-
-        With ``dp_core="batched"`` all coarse DPs run as one lockstep batch
-        (bit-for-bit the per-net :meth:`prepare` results); any other core
-        falls back to the sequential loop.  The first cache miss absorbs the
-        whole batch's wall clock into its ``preparation_seconds`` — runtimes
-        are reporting-only and never part of the bit-exactness contract.
-        """
-        nets = list(nets)
-        if self._dp.core != "batched" or len(nets) <= 1:
-            return [self.prepare(net) for net in nets]
-        config = self._config
-        cache = self._window_cache
-        batch = _LazyDpBatch(self._batched_driver())
-        candidate_sets: List[Sequence[float]] = []
-        for index, net in enumerate(nets):
-            candidates = uniform_candidates(net, config.coarse_pitch)
-            candidate_sets.append(candidates)
-            batch.add(
-                (index,),
-                DpProblem(net, config.coarse_library, None, candidates),
-            )
-        prepared: List[PreparedNet] = []
-        for index, (net, candidates) in enumerate(zip(nets, candidate_sets)):
-            started = time.perf_counter()
-            if cache is not None:
-                coarse = cache.final_dp_result(
-                    net,
-                    self._dp_context,
-                    config.coarse_library.widths,
-                    candidates,
-                    lambda index=index: batch.result((index,)),
-                )
-            else:
-                coarse = batch.result((index,))
-            prepared.append(
-                PreparedNet(
-                    net=net,
-                    coarse_result=coarse,
-                    coarse_candidates=tuple(candidates),
-                    preparation_seconds=time.perf_counter() - started,
-                )
-            )
-        return prepared
-
     def run(self, net: TwoPinNet, timing_target: float) -> RipResult:
         """Run the full RIP flow on ``net`` for ``timing_target``."""
         return self.run_prepared(self.prepare(net), timing_target)
@@ -468,82 +371,6 @@ class Rip:
         """Run RIP for one timing target, reusing a prepared coarse DP pass."""
         require_positive(timing_target, "timing_target")
         started = time.perf_counter()
-        plan = self._plan_target(prepared, timing_target)
-        final_result = self._run_final_dp(
-            prepared.net, plan.final_library, plan.final_candidates
-        )
-        return self._finish_target(
-            prepared, timing_target, plan, final_result,
-            time.perf_counter() - started,
-        )
-
-    def run_prepared_batch(
-        self, prepared: PreparedNet, timing_targets: Sequence[float]
-    ) -> List[RipResult]:
-        """Run RIP for many timing targets, batching the final DP passes.
-
-        With ``dp_core="batched"`` the per-target steps 1–3 run sequentially
-        in target order (the REFINE exact-hit memo is filled in the same
-        order and never depends on final DP results), and then all final
-        DP passes execute as one :class:`BatchedDpDriver` lockstep batch —
-        bit-for-bit the results of calling :meth:`run_prepared` per target.
-        Any other core falls back to exactly that per-target loop.
-        """
-        targets = list(timing_targets)
-        if self._dp.core != "batched" or len(targets) <= 1:
-            return [self.run_prepared(prepared, target) for target in targets]
-        net = prepared.net
-        cache = self._window_cache
-
-        plans: List[_TargetPlan] = []
-        plan_seconds: List[float] = []
-        for target in targets:
-            require_positive(target, "timing_target")
-            started = time.perf_counter()
-            plans.append(self._plan_target(prepared, target))
-            plan_seconds.append(time.perf_counter() - started)
-
-        batch = _LazyDpBatch(self._batched_driver())
-        keys: List[tuple] = []
-        for plan in plans:
-            key = (tuple(plan.final_library.widths), tuple(plan.final_candidates))
-            keys.append(key)
-            compiled = (
-                cache.compiled(net, plan.final_candidates)
-                if cache is not None
-                else None
-            )
-            batch.add(
-                key,
-                DpProblem(net, plan.final_library, compiled, plan.final_candidates),
-            )
-
-        results: List[RipResult] = []
-        for target, plan, key, seconds in zip(targets, plans, keys, plan_seconds):
-            if cache is not None:
-                final_result = cache.final_dp_result(
-                    net,
-                    self._dp_context,
-                    plan.final_library.widths,
-                    plan.final_candidates,
-                    lambda key=key: batch.result(key),
-                )
-            else:
-                final_result = batch.result(key)
-            results.append(
-                self._finish_target(
-                    prepared, target, plan, final_result,
-                    seconds + final_result.statistics.runtime_seconds,
-                )
-            )
-        return results
-
-    def _batched_driver(self) -> BatchedDpDriver:
-        """A lockstep driver matching this inserter's DP configuration."""
-        return BatchedDpDriver(self._technology, pruning=self._config.pruning)
-
-    def _plan_target(self, prepared: PreparedNet, timing_target: float) -> _TargetPlan:
-        """Steps 1–3: coarse pick, REFINE, and the design-specific B / S."""
         net = prepared.net
         config = self._config
 
@@ -567,33 +394,17 @@ class Rip:
         build_window = (
             cache.window_candidates if cache is not None else window_candidates
         )
-        final_candidates: Sequence[float] = build_window(
-            net,
-            refined.solution.positions,
-            window=config.location_window,
-            pitch=config.location_pitch,
-        )
-        return _TargetPlan(
-            coarse_solution=coarse_solution,
-            refined=refined,
-            final_library=final_library,
-            final_candidates=tuple(final_candidates),
+        final_candidates: Sequence[float] = tuple(
+            build_window(
+                net,
+                refined.solution.positions,
+                window=config.location_window,
+                pitch=config.location_pitch,
+            )
         )
 
-    def _finish_target(
-        self,
-        prepared: PreparedNet,
-        timing_target: float,
-        plan: _TargetPlan,
-        final_result: PowerDpResult,
-        base_seconds: float,
-    ) -> RipResult:
-        """Step 4 tail: pick the winner, fall back if needed, evaluate."""
-        started = time.perf_counter()
-        net = prepared.net
-        config = self._config
-        final_library = plan.final_library
-        final_candidates: Sequence[float] = plan.final_candidates
+        # ---- step 4: final DP pass --------------------------------------- #
+        final_result = self._run_final_dp(net, final_library, final_candidates)
         best = final_result.best_for_delay(timing_target)
         states_generated = final_result.statistics.states_generated
 
@@ -620,14 +431,12 @@ class Rip:
         metrics = evaluate_solution(
             net, self._technology, solution, timing_target=timing_target
         )
-        runtime = (
-            base_seconds + (time.perf_counter() - started)
-        ) + prepared.preparation_seconds
+        runtime = (time.perf_counter() - started) + prepared.preparation_seconds
         return RipResult(
             solution=solution,
             metrics=metrics,
-            coarse_solution=plan.coarse_solution,
-            refined=plan.refined,
+            coarse_solution=coarse_solution,
+            refined=refined,
             final_library=final_library,
             final_candidates=tuple(final_candidates),
             feasible=bool(metrics.meets_timing),
@@ -635,6 +444,12 @@ class Rip:
             runtime_seconds=runtime,
             states_generated=states_generated,
         )
+
+    def run_prepared_batch(
+        self, prepared: PreparedNet, timing_targets: Sequence[float]
+    ) -> List[RipResult]:
+        """Run RIP for many timing targets of one prepared net, in order."""
+        return [self.run_prepared(prepared, target) for target in timing_targets]
 
     # ------------------------------------------------------------------ #
     def _refined_solution(

@@ -86,9 +86,9 @@ def build_frontier(
 ) -> DelayWidthFrontier:
     """Reconstruct the non-dominated final states into full solutions.
 
-    Shared by every DP core (fused, staged and batched): the frontier sweep
-    and the solution reconstruction are identical regardless of how the
-    level records were produced.
+    Shared by both DP cores (fused and staged): the frontier sweep and the
+    solution reconstruction are identical regardless of how the level
+    records were produced.
     """
     order = np.lexsort((widths, final_delays))
     points: List[FrontierPoint] = []
@@ -224,9 +224,7 @@ class PowerAwareDp:
         core: str = "fused",
         scratch: Optional[DpScratch] = None,
     ) -> None:
-        require(
-            core in ("fused", "staged", "batched"), f"unknown DP core {core!r}"
-        )
+        require(core in ("fused", "staged"), f"unknown DP core {core!r}")
         self._technology = technology
         self._pruning = pruning or PruningConfig()
         # The reference pruning kernel is the per-row oracle of both cores;
@@ -241,7 +239,7 @@ class PowerAwareDp:
 
     @property
     def core(self) -> str:
-        """The effective DP core (``"fused"``, ``"staged"`` or ``"batched"``)."""
+        """The effective DP core (``"fused"`` or ``"staged"``)."""
         return self._core
 
     def run(
@@ -264,17 +262,6 @@ class PowerAwareDp:
         started = time.perf_counter()
         if compiled is None:
             compiled = CompiledNet(net, candidate_positions)
-        if self._core == "batched":
-            # A single-problem batch: the batched driver degenerates to the
-            # fused per-level arithmetic on one segment (bit-identical).
-            from repro.engine.batched import BatchedDpDriver, DpProblem
-
-            driver = BatchedDpDriver(
-                self._technology,
-                pruning=self._pruning,
-                scratch=self._scratch,
-            )
-            return driver.run_power([DpProblem(net, library, compiled)])[0]
         if self._core == "fused":
             run_levels = self._run_fused
         else:
@@ -290,7 +277,7 @@ class PowerAwareDp:
             def backtrack(pointer: int) -> Tuple[List[float], List[float]]:
                 return self._backtrack(pointer, staged_levels)
 
-        frontier = self._build_frontier(final_delays, widths, back, backtrack)
+        frontier = build_frontier(final_delays, widths, back, backtrack)
         statistics = DpStatistics(
             num_candidates=compiled.num_levels,
             library_size=len(library.widths),
@@ -481,16 +468,6 @@ class PowerAwareDp:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _build_frontier(
-        self,
-        final_delays: np.ndarray,
-        widths: np.ndarray,
-        back: np.ndarray,
-        backtrack,
-    ) -> DelayWidthFrontier:
-        """Reconstruct the non-dominated final states into full solutions."""
-        return build_frontier(final_delays, widths, back, backtrack)
-
     @staticmethod
     def _backtrack(pointer: int, levels: List[_Level]) -> Tuple[List[float], List[float]]:
         """Walk the back-pointers of one final state into (positions, widths)."""

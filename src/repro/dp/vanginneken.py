@@ -58,9 +58,7 @@ class DelayOptimalDp:
         core: str = "fused",
         scratch: Optional[DpScratch] = None,
     ) -> None:
-        require(
-            core in ("fused", "staged", "batched"), f"unknown DP core {core!r}"
-        )
+        require(core in ("fused", "staged"), f"unknown DP core {core!r}")
         self._technology = technology
         self._delay_tolerance = delay_tolerance
         self._pruning_kernel = pruning_kernel
@@ -74,7 +72,7 @@ class DelayOptimalDp:
 
     @property
     def core(self) -> str:
-        """The effective DP core (``"fused"``, ``"staged"`` or ``"batched"``)."""
+        """The effective DP core (``"fused"`` or ``"staged"``)."""
         return self._core
 
     def run(
@@ -97,17 +95,6 @@ class DelayOptimalDp:
 
         if compiled is None:
             compiled = CompiledNet(net, candidate_positions)
-        if self._core == "batched":
-            # A single-problem batch degenerates to the fused 2-D level
-            # arithmetic on one segment (bit-identical solutions).
-            from repro.engine.batched import BatchedDpDriver, DpProblem
-
-            driver = BatchedDpDriver(
-                self._technology,
-                delay_tolerance=self._delay_tolerance,
-                scratch=self._scratch,
-            )
-            return driver.run_delay_optimal([DpProblem(net, library, compiled)])[0]
         positions = compiled.positions
 
         caps = np.array([unit_input_cap * net.receiver_width])

@@ -452,10 +452,13 @@ def default_store() -> ProtocolStore:
     """The process-wide shared store.
 
     Uses the ``REPRO_CACHE_DIR`` environment variable as its disk cache when
-    set; otherwise the store is purely in-memory.
+    set; otherwise the store is purely in-memory.  The variable is read on
+    every call: while its value is unchanged the same store (and in-memory
+    memo) is returned, and a changed or cleared value builds a new store.
     """
     global _default_store
-    if _default_store is None:
-        cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
+    cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
+    wanted = Path(cache_dir) if cache_dir is not None else None
+    if _default_store is None or _default_store.cache_dir != wanted:
         _default_store = ProtocolStore(cache_dir=cache_dir)
     return _default_store

@@ -201,8 +201,7 @@ class MethodSpec:
     core:
         DP inner-loop implementation of a ``"dp"`` method: ``"fused"``
         (one kernel call per level on the per-worker scratch arena, the
-        default), ``"staged"`` (the per-level oracle) or ``"batched"``
-        (the lockstep :class:`~repro.engine.batched.BatchedDpDriver`).
+        default) or ``"staged"`` (the per-level oracle).
         Bit-identical; RIP methods carry the switch on :class:`RipConfig`
         (``dp_core``).  ``"tree"`` methods select the tree DP core instead:
         ``"fused"`` (default) or ``"reference"`` (the Python oracle) —
@@ -232,7 +231,7 @@ class MethodSpec:
             )
         else:
             require(
-                self.core in ("fused", "staged", "batched"),
+                self.core in ("fused", "staged"),
                 f"unknown DP core {self.core!r}",
             )
 
@@ -511,9 +510,6 @@ def _design_case(
                 prepared = rip.prepare(case.net)
                 states += prepared.coarse_result.statistics.states_generated
                 runtimes: List[float] = []
-                # With ``dp_core="batched"`` this runs every target's final
-                # DP in one lockstep batch (bit-identical records); any
-                # other core takes the sequential per-target path inside.
                 outcomes = rip.run_prepared_batch(prepared, resolved_targets)
                 for target, outcome in zip(resolved_targets, outcomes):
                     states += outcome.states_generated

@@ -59,8 +59,6 @@ __all__ = [
     "cross_bucket_prune",
     "fused_level",
     "fused_level_2d",
-    "fused_level_batched",
-    "fused_level_2d_batched",
     "pareto_two_dimensional",
     "segmented_exclusive_min",
     "shared_scratch",
@@ -246,11 +244,6 @@ class DpScratch:
         self.keys = np.empty(capacity, dtype=np.int64)
         self.i_a = np.empty(capacity, dtype=np.int64)
         self.i_b = np.empty(capacity, dtype=np.int64)
-        # Segment-id columns of the batched kernels: ``i_c`` holds the
-        # per-row problem id of the concatenated front for the lifetime of a
-        # batched level, ``i_d`` its sort-order gather.
-        self.i_c = np.empty(capacity, dtype=np.int64)
-        self.i_d = np.empty(capacity, dtype=np.int64)
         self.arange = np.arange(capacity, dtype=np.int64)
         self.mask = np.empty(capacity, dtype=bool)
         self.mask_b = np.empty(capacity, dtype=bool)
@@ -366,7 +359,7 @@ def _exclusive_min_scan(
     Same contract as :func:`segmented_exclusive_min`, operating on the
     scratch buffers (``f_d`` result, ``f_e``/``i_a``/``mask_b`` work space)
     with the doubling scan stopped at the largest group size.  Shared by the
-    fused and batched bucket prunes.
+    fused bucket prune and the tree prune.
     """
     index = scratch.arange[:m]
     result = scratch.f_d[:m]
@@ -498,8 +491,7 @@ def _cross_prune_range(
 
     The rows ``[begin, stop)`` must be one contiguous problem in ``(cap,
     delay, width)`` sort order; verdicts are written to ``keep[begin:stop]``.
-    Shared by :func:`_fused_cross_prune` (whole level) and the batched
-    cross prune (one oversized segment at a time).
+    :func:`_fused_cross_prune` runs it over the whole level.
     """
     hist_delays = np.empty(0)
     hist_width_min = np.empty(0)
@@ -735,452 +727,6 @@ def fused_level(
     if flat is not None:
         keep = flat[keep]
     return front_caps, front_delays, front_widths, keep, m, count
-
-
-# --------------------------------------------------------------------------- #
-# segment-id batched kernels (many problems per level call)
-# --------------------------------------------------------------------------- #
-# hot
-def _batched_traverse(
-    scratch: DpScratch,
-    intervals,
-    caps: np.ndarray,
-    delays: np.ndarray,
-    counts: np.ndarray,
-) -> None:
-    """Cross every problem's wire interval on the concatenated front.
-
-    Piece slot ``k`` applies problem ``p``'s ``k``-th piece to ``p``'s rows;
-    problems with fewer pieces get zero coefficients, whose ufunc passes are
-    bitwise no-ops on the non-negative caps and delays (``x + 0.0 == x``,
-    ``x * 0.0 == +0.0`` for ``x >= 0``) — so every problem sees exactly the
-    per-piece arithmetic of :func:`_traverse_in_place`.
-    """
-    n = len(caps)
-    if n == 0:
-        return
-    tmp = scratch.f_a[:n]
-    max_pieces = max(len(interval.piece_resistance) for interval in intervals)
-    for piece in range(max_pieces):
-        resistance = np.repeat(
-            [
-                interval.piece_resistance[piece]
-                if piece < len(interval.piece_resistance)
-                else 0.0
-                for interval in intervals
-            ],
-            counts,
-        )
-        half = np.repeat(
-            [
-                interval.piece_half_capacitance[piece]
-                if piece < len(interval.piece_half_capacitance)
-                else 0.0
-                for interval in intervals
-            ],
-            counts,
-        )
-        capacitance = np.repeat(
-            [
-                interval.piece_capacitance[piece]
-                if piece < len(interval.piece_capacitance)
-                else 0.0
-                for interval in intervals
-            ],
-            counts,
-        )
-        # delays += r * (half + caps); caps += c  (same grouping).
-        np.add(caps, half, out=tmp)
-        np.multiply(tmp, resistance, out=tmp)
-        np.add(delays, tmp, out=delays)
-        np.add(caps, capacitance, out=caps)
-
-
-# hot
-def _batched_expand(
-    scratch: DpScratch,
-    caps: np.ndarray,
-    delays: np.ndarray,
-    widths: np.ndarray,
-    counts: np.ndarray,
-    lut_caps: np.ndarray,
-    lut_ratios: np.ndarray,
-    lut_widths: np.ndarray,
-    lut_offsets: np.ndarray,
-    lut_sizes: np.ndarray,
-    intrinsic: float,
-):
-    """Expand every problem's ``(state x library-option)`` product at once.
-
-    Rows are problem-major and, inside a problem, branch-major — the exact
-    flat layout of :func:`_expand_level` per problem, so local flat indices
-    (``branch * count + parent``) and stable-sort tie-breaks match the
-    single-problem kernels.  Returns ``(M, m_per, exp_start, seg)`` where
-    ``seg`` (a view of ``scratch.i_c``) stays valid through the prunes.
-    """
-    problems = len(counts)
-    m_per = counts * (lut_sizes + 1)
-    total = int(m_per.sum())
-    scratch.ensure(total)
-    exp_start = np.zeros(problems, dtype=np.int64)  # repro-lint: disable=hot-alloc
-    np.cumsum(m_per[:-1], out=exp_start[1:])
-    front_start = np.zeros(problems, dtype=np.int64)  # repro-lint: disable=hot-alloc
-    np.cumsum(counts[:-1], out=front_start[1:])
-
-    seg = scratch.i_c[:total]
-    seg[:] = np.repeat(np.arange(problems, dtype=np.int64), m_per)
-    local = np.arange(total, dtype=np.int64)
-    local -= np.repeat(exp_start, m_per)
-    count_rep = np.repeat(counts, m_per)
-    branch = local // count_rep
-    parent = local - branch * count_rep
-    parent += np.repeat(front_start, m_per)
-    insert = branch > 0
-
-    parent_caps = scratch.f_a[:total]
-    parent_delays = scratch.f_b[:total]
-    parent_widths = scratch.f_c[:total]
-    caps.take(parent, out=parent_caps)
-    delays.take(parent, out=parent_delays)
-    widths.take(parent, out=parent_widths)
-
-    exp_caps = scratch.exp_caps[:total]
-    exp_delays = scratch.exp_delays[:total]
-    exp_widths = scratch.exp_widths[:total]
-    if len(lut_caps):
-        lut_index = branch  # consumed: becomes the per-row LUT gather index
-        lut_index += np.repeat(lut_offsets, m_per)
-        lut_index -= 1
-        np.copyto(lut_index, 0, where=~insert)  # any valid index; overwritten
-        gathered = scratch.f_d[:total]
-        # caps: Co * w_b; delays: ((Rs / w_b) * caps + intrinsic) + delays;
-        # widths: widths + w_b — all in the staged expression grouping.
-        lut_caps.take(lut_index, out=exp_caps)
-        lut_ratios.take(lut_index, out=gathered)
-        np.multiply(gathered, parent_caps, out=exp_delays)
-        np.add(exp_delays, intrinsic, out=exp_delays)
-        np.add(exp_delays, parent_delays, out=exp_delays)
-        lut_widths.take(lut_index, out=gathered)
-        np.add(parent_widths, gathered, out=exp_widths)
-        np.copyto(exp_caps, parent_caps, where=~insert)
-        np.copyto(exp_delays, parent_delays, where=~insert)
-        np.copyto(exp_widths, parent_widths, where=~insert)
-    else:
-        exp_caps[:] = parent_caps
-        exp_delays[:] = parent_delays
-        exp_widths[:] = parent_widths
-    return total, m_per, exp_start, seg
-
-
-# hot
-def _batched_bucket_prune(
-    scratch: DpScratch,
-    m: int,
-    seg: np.ndarray,
-    *,
-    delay_tolerance: float,
-    width_tolerance: float,
-) -> np.ndarray:
-    """:func:`_fused_bucket_prune` with a leading segment-id sort key.
-
-    The lexsort is segment-major and, inside a segment, identical to the
-    single-problem ``(key, cap, delay)`` order (stable ties fall back to the
-    problem-local flat index).  Group starts fire on a segment change *or*
-    a bucket-key change, so the prefix-min history resets at every segment
-    boundary and no state ever prunes across problems.
-    """
-    caps = scratch.exp_caps[:m]
-    delays = scratch.exp_delays[:m]
-    widths = scratch.exp_widths[:m]
-
-    quantum = max(width_tolerance, 1e-12)
-    keys_f = scratch.f_b[:m]
-    np.divide(widths, quantum, out=keys_f)
-    np.rint(keys_f, out=keys_f)
-    keys = scratch.keys[:m]
-    keys[:] = keys_f  # cast-assign, same as .astype(np.int64)
-
-    order = np.lexsort((delays, caps, keys, seg))
-    keys_sorted = scratch.i_a[:m]
-    keys.take(order, out=keys_sorted)
-    seg_sorted = scratch.i_d[:m]
-    seg.take(order, out=seg_sorted)
-    delays_sorted = scratch.f_c[:m]
-    delays.take(order, out=delays_sorted)
-
-    is_start = scratch.mask[:m]
-    is_start[0] = True
-    np.not_equal(keys_sorted[1:], keys_sorted[:-1], out=is_start[1:])
-    seg_change = scratch.mask_b[:m]
-    np.not_equal(seg_sorted[1:], seg_sorted[:-1], out=seg_change[1:])
-    np.logical_or(is_start[1:], seg_change[1:], out=is_start[1:])
-    index = scratch.arange[:m]
-    group_start = scratch.i_b[:m]
-    group_start[:] = 0
-    np.copyto(group_start, index, where=is_start)
-    np.maximum.accumulate(group_start, out=group_start)
-
-    result = _exclusive_min_scan(scratch, delays_sorted, group_start, is_start, m)
-    np.subtract(result, delay_tolerance, out=result)
-    survive = scratch.mask[:m]
-    np.less(delays_sorted, result, out=survive)
-    return order[survive]
-
-
-# hot
-def _batched_cross_prune(
-    scratch: DpScratch,
-    survivors: np.ndarray,
-    seg: np.ndarray,
-    *,
-    delay_tolerance: float,
-    width_tolerance: float,
-) -> np.ndarray:
-    """:func:`_fused_cross_prune` with per-segment dominance only.
-
-    The sort gains the leading segment id, so segments are contiguous runs;
-    consecutive whole segments are packed into one pairwise block (the
-    triangle mask is further restricted to same-segment pairs), and a
-    segment larger than a block is handed to the chunked-history range
-    prune on its own slice.  Verdicts — and survivor order inside every
-    segment — are exactly those of the single-problem cross prune.
-    """
-    n = len(survivors)
-    caps = scratch.f_b[:n]
-    delays = scratch.f_c[:n]
-    widths = scratch.f_d[:n]
-    scratch.exp_caps.take(survivors, out=caps)
-    scratch.exp_delays.take(survivors, out=delays)
-    scratch.exp_widths.take(survivors, out=widths)
-    seg_rows = scratch.i_a[:n]
-    seg.take(survivors, out=seg_rows)
-
-    order = np.lexsort((widths, delays, caps, seg_rows))
-    delays_sorted = scratch.f_e[:n]
-    widths_sorted = scratch.f_f[:n]
-    delays.take(order, out=delays_sorted)
-    widths.take(order, out=widths_sorted)
-    seg_sorted = scratch.i_b[:n]
-    seg_rows.take(order, out=seg_sorted)
-
-    keep = scratch.mask[:n]
-    delay_bound = scratch.f_b[:n]  # caps no longer needed past the sort
-    width_bound = scratch.f_c[:n]
-    np.add(delays_sorted, delay_tolerance, out=delay_bound)
-    np.add(widths_sorted, width_tolerance, out=width_bound)
-
-    # Segment run boundaries in sort order.
-    edges = np.flatnonzero(seg_sorted[1:] != seg_sorted[:-1]) + 1
-    bounds = [0, *edges.tolist(), n]
-    cursor = 0
-    while cursor < len(bounds) - 1:
-        begin = bounds[cursor]
-        end_cursor = cursor + 1
-        while (
-            end_cursor < len(bounds) - 1
-            and bounds[end_cursor + 1] - begin <= _CROSS_CHUNK
-        ):
-            end_cursor += 1
-        end = bounds[end_cursor]
-        if end - begin > _CROSS_CHUNK:
-            # A single oversized segment: the chunked-history prune on its
-            # slice is the exact single-problem algorithm.
-            _cross_prune_range(
-                scratch,
-                delays_sorted,
-                widths_sorted,
-                delay_bound,
-                width_bound,
-                keep,
-                begin,
-                end,
-            )
-        else:
-            b = end - begin
-            dominated = scratch.mask_b[:b]
-            tri = scratch.pair_a[: b * b].reshape(b, b)
-            tri_w = scratch.pair_b[: b * b].reshape(b, b)
-            np.less_equal(
-                delays_sorted[begin:end, None], delay_bound[None, begin:end], out=tri
-            )
-            np.less_equal(
-                widths_sorted[begin:end, None], width_bound[None, begin:end], out=tri_w
-            )
-            np.logical_and(tri, tri_w, out=tri)
-            np.equal(
-                seg_sorted[begin:end, None], seg_sorted[None, begin:end], out=tri_w
-            )
-            np.logical_and(tri, tri_w, out=tri)
-            np.logical_and(tri, scratch.upper_tri(b), out=tri)
-            np.logical_or.reduce(tri, axis=0, out=dominated)
-            np.logical_not(dominated, out=keep[begin:end])
-        cursor = end_cursor
-    return order[keep]
-
-
-# hot
-def _batched_finish(
-    scratch: DpScratch,
-    keep: np.ndarray,
-    seg: np.ndarray,
-    exp_start: np.ndarray,
-    m_per: np.ndarray,
-    problems: int,
-):
-    """Gather the surviving batched front and split it per problem."""
-    k = len(keep)
-    seg_keep = seg[keep]
-    survivor_counts = np.bincount(seg_keep, minlength=problems)
-    keep_local = keep - exp_start[seg_keep]
-    front_caps = scratch.front_caps[:k]
-    front_delays = scratch.front_delays[:k]
-    front_widths = scratch.front_widths[:k]
-    scratch.exp_caps.take(keep, out=front_caps)
-    scratch.exp_delays.take(keep, out=front_delays)
-    scratch.exp_widths.take(keep, out=front_widths)
-    return front_caps, front_delays, front_widths, keep_local, survivor_counts, m_per
-
-
-# hot
-def fused_level_batched(
-    scratch: DpScratch,
-    intervals,
-    caps: np.ndarray,
-    delays: np.ndarray,
-    widths: np.ndarray,
-    counts: np.ndarray,
-    *,
-    lut_caps: np.ndarray,
-    lut_ratios: np.ndarray,
-    lut_widths: np.ndarray,
-    lut_offsets: np.ndarray,
-    lut_sizes: np.ndarray,
-    intrinsic: float,
-    delay_tolerance: float,
-    width_tolerance: float,
-    full_strategy: bool,
-):
-    """One fused power-aware DP level for a whole *batch* of problems.
-
-    ``caps``/``delays``/``widths`` are the concatenated fronts of all
-    problems (problem ``p`` owns ``counts[p]`` consecutive rows; mutated in
-    place by the wire crossing), ``intervals`` the per-problem compiled wire
-    intervals of this level, and the ``lut_*`` arrays the concatenated
-    per-problem insert options (problem ``p``'s ``lut_sizes[p]`` options
-    start at ``lut_offsets[p]``; libraries may differ per problem).
-
-    Returns ``(front_caps, front_delays, front_widths, keep_local,
-    survivor_counts, m_per)``: the surviving concatenated front
-    (segment-major scratch views, valid until the next kernel call),
-    per-survivor *problem-local* flat indices in each problem's own
-    ``count x branches`` layout (``keep_local // counts[p]`` is the branch,
-    ``% counts[p]`` the parent row), per-problem survivor counts, and
-    per-problem full expansion counts (the ``states_generated`` increment).
-
-    Every problem's rows see exactly the arithmetic, sort order and
-    dominance verdicts of :func:`fused_level` run on that problem alone
-    (always via the full expansion, which :func:`_reduce_branches` is
-    proven equivalent to) — so the batched core is bit-for-bit identical
-    to the fused and staged cores; ``tests/test_batched_dp.py``
-    property-tests the equality.
-    """
-    counts = np.ascontiguousarray(counts, dtype=np.int64)
-    _batched_traverse(scratch, intervals, caps, delays, counts)
-    total, m_per, exp_start, seg = _batched_expand(
-        scratch,
-        caps,
-        delays,
-        widths,
-        counts,
-        lut_caps,
-        lut_ratios,
-        lut_widths,
-        lut_offsets,
-        lut_sizes,
-        intrinsic,
-    )
-    keep = _batched_bucket_prune(
-        scratch,
-        total,
-        seg,
-        delay_tolerance=delay_tolerance,
-        width_tolerance=width_tolerance,
-    )
-    if full_strategy and len(keep) > 1:
-        sub = _batched_cross_prune(
-            scratch,
-            keep,
-            seg,
-            delay_tolerance=delay_tolerance,
-            width_tolerance=width_tolerance,
-        )
-        keep = keep[sub]
-    return _batched_finish(scratch, keep, seg, exp_start, m_per, len(counts))
-
-
-# hot
-def fused_level_2d_batched(
-    scratch: DpScratch,
-    intervals,
-    caps: np.ndarray,
-    delays: np.ndarray,
-    widths: np.ndarray,
-    counts: np.ndarray,
-    *,
-    lut_caps: np.ndarray,
-    lut_ratios: np.ndarray,
-    lut_widths: np.ndarray,
-    lut_offsets: np.ndarray,
-    lut_sizes: np.ndarray,
-    intrinsic: float,
-    delay_tolerance: float,
-):
-    """One fused delay-optimal DP level for a batch (2-D pruning).
-
-    Same contract as :func:`fused_level_batched` with the segmented
-    ``(C, D)`` Pareto scan of :func:`fused_level_2d` as the pruning rule
-    (the 2-D branch reduction is exactness-preserving, so the always-full
-    expansion here yields bit-identical survivors in identical order).
-    """
-    counts = np.ascontiguousarray(counts, dtype=np.int64)
-    _batched_traverse(scratch, intervals, caps, delays, counts)
-    total, m_per, exp_start, seg = _batched_expand(
-        scratch,
-        caps,
-        delays,
-        widths,
-        counts,
-        lut_caps,
-        lut_ratios,
-        lut_widths,
-        lut_offsets,
-        lut_sizes,
-        intrinsic,
-    )
-
-    exp_caps = scratch.exp_caps[:total]
-    exp_delays = scratch.exp_delays[:total]
-    order = np.lexsort((exp_delays, exp_caps, seg))
-    delays_sorted = scratch.f_b[:total]
-    exp_delays.take(order, out=delays_sorted)
-    seg_sorted = scratch.i_d[:total]
-    seg.take(order, out=seg_sorted)
-
-    is_start = scratch.mask[:total]
-    is_start[0] = True
-    np.not_equal(seg_sorted[1:], seg_sorted[:-1], out=is_start[1:])
-    index = scratch.arange[:total]
-    group_start = scratch.i_b[:total]
-    group_start[:] = 0
-    np.copyto(group_start, index, where=is_start)
-    np.maximum.accumulate(group_start, out=group_start)
-
-    exclusive = _exclusive_min_scan(scratch, delays_sorted, group_start, is_start, total)
-    np.subtract(exclusive, delay_tolerance, out=exclusive)
-    survive = scratch.mask[:total]
-    np.less(delays_sorted, exclusive, out=survive)
-    keep = order[survive]
-    return _batched_finish(scratch, keep, seg, exp_start, m_per, len(counts))
 
 
 # hot

@@ -4,7 +4,7 @@ The ROADMAP's "millions of users" north star made literal: a long-running
 asyncio HTTP daemon (``rip serve``) that accepts (net, targets, technology,
 method) design requests from many concurrent clients, micro-batches them
 into :meth:`~repro.engine.design.DesignEngine.design_population` calls to
-amortize pool/compile/batched-DP cost, and streams per-net results back as
+amortize pool and compile cost, and streams per-net results back as
 they finish.  Everything is standard library: :mod:`asyncio` streams plus a
 minimal HTTP/1.1 layer in :mod:`repro.service.server`.
 

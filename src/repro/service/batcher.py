@@ -2,9 +2,9 @@
 
 The engine's throughput comes from batch width: one
 :meth:`~repro.engine.design.DesignEngine.design_population` call amortizes
-pool dispatch, window compilation, and the level-batched DP across every
-net it carries.  Serving each HTTP request with its own one-net sweep
-would throw that away, so the batcher batches while the engine is busy:
+pool dispatch and window compilation across every net it carries.
+Serving each HTTP request with its own one-net sweep would throw that
+away, so the batcher batches while the engine is busy:
 the drain loop waits for one request, takes whatever else is already
 queued (up to ``max_batch``) and runs that batch at once.  A lone request
 never waits on a timer; requests that arrive while the engine runs queue

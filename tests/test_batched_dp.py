@@ -1,255 +1,43 @@
-"""Property suite for the cross-target/cross-net level-batched DP (ISSUE 6).
+"""Validation of the two-pin DP core selector.
 
-The batched core runs many DP problems in lockstep through one set of
-segment-id kernels (:func:`repro.engine.kernels.fused_level_batched` and its
-2-D variant).  Its contract is **bit-for-bit** identity with the fused and
-staged cores per problem — regardless of how problems are mixed inside a
-batch: different nets, different libraries, different level counts (problems
-join and leave the lockstep as they start/finish), fronts that prune down to
-one state while a sibling segment stays wide, and scratch arenas reused
-across batch generations.
+The cross-target/cross-net level-batched DP core (``dp_core="batched"``) was
+deleted: fused is the one production core of the power-aware and
+delay-optimal DPs, staged their one oracle.  Every entry point that names a
+core must therefore reject ``"batched"`` as loudly as any other unknown
+value, rather than silently falling back to another core.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.core.rip import Rip, RipConfig
+from repro.cli.main import build_parser
+from repro.core.rip import RipConfig
 from repro.dp.powerdp import PowerAwareDp
 from repro.dp.pruning import PruningConfig
 from repro.dp.vanginneken import DelayOptimalDp
-from repro.engine.batched import BatchedDpDriver, DpProblem
-from repro.engine.cache import ProtocolConfig, ProtocolStore
-from repro.engine.kernels import DpScratch
+from repro.engine.design import MethodSpec
 from repro.tech.library import RepeaterLibrary
-from repro.tech.nodes import NODE_180NM
-
-from tests.conftest import build_mixed_net, build_uniform_net
-
-POPULATION = ProtocolConfig(num_nets=4, targets_per_net=4, seed=2005)
-
-
-@pytest.fixture(scope="module")
-def cases():
-    return ProtocolStore().cases(POPULATION)
-
-
-def _frontier_signature(result):
-    return [
-        (point.delay, point.total_width, point.solution.positions, point.solution.widths)
-        for point in result.frontier.points
-    ]
-
-
-def _statistics_signature(result):
-    stats = result.statistics
-    return (stats.num_candidates, stats.library_size, stats.states_generated, stats.max_front_size)
-
-
-def _solution_signature(solution):
-    return (solution.delay, solution.total_width, solution.positions, solution.widths)
-
-
-@pytest.mark.parametrize(
-    "strategy, granularity",
-    [
-        ("full", 10.0),
-        ("full", 40.0),
-        ("full", 130.0),
-        ("bucket", 130.0),
-    ],
-)
-def test_batched_power_dp_bitwise_equal(cases, strategy, granularity):
-    """Whole-population batches match fused and staged per problem."""
-    library = RepeaterLibrary.uniform(10.0, 400.0, granularity)
-    pruning = PruningConfig(strategy=strategy)
-    fused = PowerAwareDp(NODE_180NM, pruning=pruning, core="fused")
-    staged = PowerAwareDp(NODE_180NM, pruning=pruning, core="staged")
-    driver = BatchedDpDriver(NODE_180NM, pruning=pruning)
-    batch = driver.run_power(
-        [DpProblem(case.net, library, None, case.candidates) for case in cases]
-    )
-    for case, batched in zip(cases, batch):
-        fast = fused.run(case.net, library, case.candidates)
-        slow = staged.run(case.net, library, case.candidates)
-        assert _frontier_signature(batched) == _frontier_signature(fast)
-        assert _frontier_signature(batched) == _frontier_signature(slow)
-        assert _statistics_signature(batched) == _statistics_signature(fast)
-
-
-def test_batched_core_single_problem(cases):
-    """core="batched" on the one-problem DP front: a degenerate batch."""
-    library = RepeaterLibrary.uniform(10.0, 400.0, 40.0)
-    batched = PowerAwareDp(NODE_180NM, core="batched")
-    fused = PowerAwareDp(NODE_180NM, core="fused")
-    assert batched.core == "batched"
-    for case in cases[:2]:
-        fast = fused.run(case.net, library, case.candidates)
-        one = batched.run(case.net, library, case.candidates)
-        assert _frontier_signature(one) == _frontier_signature(fast)
-        assert _statistics_signature(one) == _statistics_signature(fast)
-
-
-def test_batched_mixed_length_batch(cases, tech):
-    """Problems with very different level counts join/leave the lockstep.
-
-    Nets with 0, 1, a handful and dozens of candidate positions finish at
-    different lockstep steps; survivors must keep their own results exact
-    while segments retire and the concatenated front compacts.
-    """
-    library = RepeaterLibrary.uniform(40.0, 400.0, 60.0)
-    mixed = build_mixed_net(tech)
-    uniform = build_uniform_net(tech)
-    problems = [
-        DpProblem(mixed, library, None, ()),  # zero levels
-        DpProblem(uniform, library, None, (uniform.total_length / 2.0,)),
-        DpProblem(mixed, library, None, tuple(i * 1000.0e-6 for i in range(1, 8))),
-        DpProblem(cases[0].net, library, None, cases[0].candidates),
-        DpProblem(cases[1].net, library, None, cases[1].candidates),
-    ]
-    driver = BatchedDpDriver(NODE_180NM)
-    fused = PowerAwareDp(NODE_180NM, core="fused")
-    results = driver.run_power(problems)
-    assert len(driver.front_size_history) > 0
-    for problem, batched in zip(problems, results):
-        solo = fused.run(problem.net, problem.library, problem.candidate_positions)
-        assert _frontier_signature(batched) == _frontier_signature(solo)
-        assert _statistics_signature(batched) == _statistics_signature(solo)
-
-
-def test_batched_all_pruned_segments(tech):
-    """Huge tolerances collapse every segment's front to one state."""
-    net = build_uniform_net(tech)
-    library = RepeaterLibrary.uniform(40.0, 400.0, 120.0)
-    pruning = PruningConfig(delay_tolerance=10.0, width_tolerance=1e6)
-    candidates = tuple(i * 500.0e-6 for i in range(1, 20))
-    driver = BatchedDpDriver(NODE_180NM, pruning=pruning)
-    fused = PowerAwareDp(NODE_180NM, pruning=pruning, core="fused")
-    results = driver.run_power(
-        [DpProblem(net, library, None, candidates) for _ in range(3)]
-    )
-    solo = fused.run(net, library, candidates)
-    for batched in results:
-        assert batched.statistics.max_front_size == 1
-        assert _frontier_signature(batched) == _frontier_signature(solo)
-        assert _statistics_signature(batched) == _statistics_signature(solo)
-
-
-def test_batched_mixed_pruned_and_wide_segments(cases, tech):
-    """A one-state segment rides alongside wide ones in the same lockstep."""
-    library = RepeaterLibrary.uniform(40.0, 400.0, 120.0)
-    single_width = RepeaterLibrary.from_widths([120.0])
-    net = build_uniform_net(tech)
-    problems = [
-        DpProblem(net, single_width, None, tuple(i * 1000.0e-6 for i in range(1, 10))),
-        DpProblem(cases[0].net, library, None, cases[0].candidates),
-    ]
-    driver = BatchedDpDriver(NODE_180NM)
-    fused = PowerAwareDp(NODE_180NM, core="fused")
-    for problem, batched in zip(problems, driver.run_power(problems)):
-        solo = fused.run(problem.net, problem.library, problem.candidate_positions)
-        assert _frontier_signature(batched) == _frontier_signature(solo)
-
-
-def test_batched_scratch_reuse_across_batch_generations(cases):
-    """One scratch arena reused across several batch runs stays bit-exact."""
-    shared = DpScratch(capacity=16)  # tiny: force geometric growth
-    driver = BatchedDpDriver(NODE_180NM, scratch=shared)
-    fused = PowerAwareDp(NODE_180NM, core="fused")
-    for granularity in (130.0, 40.0):
-        library = RepeaterLibrary.uniform(10.0, 400.0, granularity)
-        problems = [
-            DpProblem(case.net, library, None, case.candidates) for case in cases[:3]
-        ]
-        for case, batched in zip(cases, driver.run_power(problems)):
-            solo = fused.run(case.net, library, case.candidates)
-            assert _frontier_signature(batched) == _frontier_signature(solo)
-    assert shared.grows > 1  # the arena actually grew geometrically
-
-
-def test_batched_max_in_flight_window(cases):
-    """A tiny in-flight cap streams problems through without changing bits."""
-    library = RepeaterLibrary.uniform(10.0, 400.0, 60.0)
-    driver = BatchedDpDriver(NODE_180NM, max_in_flight=2)
-    fused = PowerAwareDp(NODE_180NM, core="fused")
-    problems = [DpProblem(case.net, library, None, case.candidates) for case in cases]
-    for case, batched in zip(cases, driver.run_power(problems)):
-        solo = fused.run(case.net, library, case.candidates)
-        assert _frontier_signature(batched) == _frontier_signature(solo)
-        assert _statistics_signature(batched) == _statistics_signature(solo)
-
-
-def test_batched_delay_optimal_bitwise_equal(cases, tech):
-    """The 2-D (van Ginneken) lockstep matches the fused 2-D core."""
-    library = RepeaterLibrary.uniform(10.0, 400.0, 10.0)
-    driver = BatchedDpDriver(NODE_180NM)
-    fused = DelayOptimalDp(NODE_180NM, core="fused")
-    net = build_uniform_net(tech)
-    problems = [DpProblem(case.net, library, None, case.candidates) for case in cases]
-    problems.append(DpProblem(net, library, None, ()))  # zero-level straggler
-    solutions = driver.run_delay_optimal(problems)
-    for problem, batched in zip(problems, solutions):
-        solo = fused.run(problem.net, problem.library, problem.candidate_positions)
-        assert _solution_signature(batched) == _solution_signature(solo)
-    batched_core = DelayOptimalDp(NODE_180NM, core="batched")
-    assert batched_core.core == "batched"
-    one = batched_core.run(cases[0].net, library, cases[0].candidates)
-    solo = fused.run(cases[0].net, library, cases[0].candidates)
-    assert _solution_signature(one) == _solution_signature(solo)
+from repro.utils.validation import ValidationError
 
 
 def test_batched_core_validation(tech):
-    with pytest.raises(Exception):
-        PowerAwareDp(tech, core="nonsense")
-    with pytest.raises(Exception):
-        RipConfig(dp_core="nonsense")
-    # The reference pruning kernel still forces the staged oracle.
-    dp = PowerAwareDp(tech, pruning=PruningConfig(kernel="reference"), core="batched")
+    for core in ("nonsense", "batched"):
+        with pytest.raises(ValidationError):
+            PowerAwareDp(tech, core=core)
+        with pytest.raises(ValidationError):
+            DelayOptimalDp(tech, core=core)
+        with pytest.raises(ValidationError):
+            RipConfig(dp_core=core)
+        library = RepeaterLibrary.uniform(10.0, 400.0, 10.0)
+        with pytest.raises(ValidationError):
+            MethodSpec.dp_baseline("dp-g10", library, core=core)
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["sweep", "--dp-core", core])
+        assert exit_info.value.code == 2
+    # The reference pruning kernel implies the staged core, but only for a
+    # known core: an unknown one is rejected before that rule applies.
+    with pytest.raises(ValidationError):
+        PowerAwareDp(tech, pruning=PruningConfig(kernel="reference"), core="batched")
+    dp = PowerAwareDp(tech, pruning=PruningConfig(kernel="reference"), core="fused")
     assert dp.core == "staged"
-
-
-def test_rip_flow_batched_bitwise_equal(cases):
-    """The whole hybrid flow is identical under dp_core=batched/fused.
-
-    The batched inserter prepares the population's coarse passes in one
-    cross-net batch and runs each net's final DPs in one cross-target batch;
-    every record must still be bit-identical to the sequential fused flow.
-    """
-
-    def design(core, window_cache):
-        rows = []
-        rip = Rip(NODE_180NM, RipConfig(dp_core=core), window_cache=window_cache)
-        nets = [case.net for case in cases[:2]]
-        prepared_nets = rip.prepare_batch(nets)
-        for case, prepared in zip(cases[:2], prepared_nets):
-            results = rip.run_prepared_batch(prepared, case.targets)
-            for target, result in zip(case.targets, results):
-                rows.append(
-                    (
-                        case.net.name,
-                        target,
-                        result.feasible,
-                        result.fallback_used,
-                        result.solution.positions,
-                        result.solution.widths,
-                        result.delay,
-                        result.states_generated,
-                    )
-                )
-        return rows
-
-    golden = design("fused", False)
-    assert design("batched", False) == golden
-    assert design("batched", True) == golden
-
-
-def test_batched_front_size_history_resets_per_run(cases):
-    library = RepeaterLibrary.uniform(40.0, 400.0, 120.0)
-    driver = BatchedDpDriver(NODE_180NM)
-    problems = [DpProblem(case.net, library, None, case.candidates) for case in cases[:2]]
-    driver.run_power(problems)
-    first = list(driver.front_size_history)
-    driver.run_power(problems)
-    assert list(driver.front_size_history) == first
-    assert all(size >= 1 for size in first)

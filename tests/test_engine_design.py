@@ -21,6 +21,7 @@ from repro.dp.vanginneken import DelayOptimalDp
 from repro.engine.cache import (
     ProtocolConfig,
     ProtocolStore,
+    default_store,
     protocol_key,
     timing_targets,
 )
@@ -191,6 +192,18 @@ def test_store_evicts_key_and_net_version_mismatches(tmp_path):
         json.loads(path.read_text(encoding="utf-8"))["net_format_version"]
         == NET_FORMAT_VERSION
     )
+
+
+def test_default_store_follows_repro_cache_dir(monkeypatch, tmp_path):
+    """The process-wide store tracks the variable instead of latching it."""
+    from repro.tech.nodes import NODE_180NM
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    assert default_store().cache_dir == tmp_path
+    assert default_store() is default_store()  # unchanged value: one memo
+    monkeypatch.delenv("REPRO_CACHE_DIR")
+    assert default_store().cache_dir is None
+    assert DesignEngine(NODE_180NM).store.cache_dir is None
 
 
 # --------------------------------------------------------------------------- #

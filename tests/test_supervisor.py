@@ -591,13 +591,11 @@ def test_cli_driver_kill_then_resume_is_bit_identical(tmp_path):
 
 
 def test_cli_resume_requires_disk_cache(capsys, monkeypatch):
-    import repro.engine.cache as cache_module
     from repro.cli.main import main as cli_main
 
     # REPRO_CACHE_DIR would give the sweep a disk cache, making --resume
-    # legal; so would a process-wide default store built under it earlier.
+    # legal.
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.setattr(cache_module, "_default_store", None)
 
     assert cli_main(["sweep", "--nets", "2", "--resume"]) == 2
     assert "--resume" in capsys.readouterr().err
