@@ -24,8 +24,8 @@ Checks
   segment must be unlinked by the time :meth:`DesignEngine.close` finishes.
 
 Counters (checks run / violations raised) are process-global and exposed as
-:class:`SanitizerStatistics` with the same ``since``/``merged`` snapshot
-algebra as the cache counters, so per-net deltas survive the worker pool
+:class:`SanitizerStatistics` with the shared ``since``/``merged`` snapshot
+algebra of :mod:`repro.utils.counters`, so per-net deltas survive the worker pool
 and aggregate onto :class:`~repro.engine.design.EngineStatistics`.
 """
 
@@ -36,6 +36,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
+
+from repro.utils.counters import Counters
 
 __all__ = [
     "ENV_VAR",
@@ -86,23 +88,11 @@ class SanitizeError(AssertionError):
 
 
 @dataclass(frozen=True)
-class SanitizerStatistics:
+class SanitizerStatistics(Counters):
     """Monotone sanitizer counters (both fields count since process start)."""
 
     checks_run: int = 0
     violations: int = 0
-
-    def since(self, earlier: "SanitizerStatistics") -> "SanitizerStatistics":
-        return SanitizerStatistics(
-            checks_run=self.checks_run - earlier.checks_run,
-            violations=self.violations - earlier.violations,
-        )
-
-    def merged(self, other: "SanitizerStatistics") -> "SanitizerStatistics":
-        return SanitizerStatistics(
-            checks_run=self.checks_run + other.checks_run,
-            violations=self.violations + other.violations,
-        )
 
 
 _checks_run = 0

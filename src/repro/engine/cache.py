@@ -41,6 +41,7 @@ from repro.tech.nodes import NODE_180NM
 from repro.tech.technology import Technology
 from repro.tree.rctree import RoutingTree
 from repro.utils.canonical import stable_digest
+from repro.utils.counters import Counters
 from repro.utils.validation import require, require_positive
 
 __all__ = [
@@ -58,7 +59,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class StoreStatistics:
+class StoreStatistics(Counters):
     """Hit/miss/eviction counters of one :class:`ProtocolStore`.
 
     ``builds`` counts full population constructions (the expensive path:
@@ -80,24 +81,6 @@ class StoreStatistics:
     def lookups(self) -> int:
         """Total :meth:`ProtocolStore.cases` calls."""
         return self.memory_hits + self.disk_hits + self.builds
-
-    def since(self, earlier: "StoreStatistics") -> "StoreStatistics":
-        """Counter deltas relative to an earlier snapshot of the same store."""
-        return StoreStatistics(
-            memory_hits=self.memory_hits - earlier.memory_hits,
-            disk_hits=self.disk_hits - earlier.disk_hits,
-            builds=self.builds - earlier.builds,
-            evictions=self.evictions - earlier.evictions,
-        )
-
-    def merged(self, other: "StoreStatistics") -> "StoreStatistics":
-        """Combine counters of two (delta) snapshots."""
-        return StoreStatistics(
-            memory_hits=self.memory_hits + other.memory_hits,
-            disk_hits=self.disk_hits + other.disk_hits,
-            builds=self.builds + other.builds,
-            evictions=self.evictions + other.evictions,
-        )
 
 
 def timing_targets(

@@ -2,20 +2,25 @@
 
 Every experiment of the paper boils down to the same shape of work: take a
 population of nets, design each net for a sweep of timing targets with a set
-of *methods* (the hybrid RIP flow, baseline DPs with various libraries), and
-tabulate per-(net, target, method) outcomes.  The seed harness hand-rolled
-that loop in three different files; :class:`DesignEngine` turns it into one
-reusable, parallel, cache-backed primitive:
+of *methods* (the hybrid RIP flow, baseline DPs with various libraries, the
+tree DP for H-tree entries), and tabulate per-(net, target, method)
+outcomes.  The seed harness hand-rolled that loop in three different files;
+:class:`DesignEngine` turns it into one reusable, parallel, cache-backed
+primitive:
 
 * populations come from the shared :class:`repro.engine.cache.ProtocolStore`
   (``tau_min`` computed exactly once per ``(seed, net_config, technology)``,
   optionally persisted to disk);
-* each net is designed for **all** methods and targets in one task — the
-  baseline DP runs once per (net, library) and its frontier answers every
-  target, RIP shares its coarse pass across targets and draws its DP
+* each entry (a two-pin :class:`~repro.engine.cache.NetCase` or a
+  :class:`~repro.engine.cache.TreeCase`) is designed for **all** methods
+  and targets in one task, :func:`_design_case`; each method kind is one
+  function for one population class (``rip``/``dp`` nets, ``tree`` trees).
+  The baseline DP runs once per (net, library) and its frontier answers
+  every target, RIP shares its coarse pass across targets and draws its DP
   passes from the engine-/process-shared
-  :class:`~repro.engine.wincache.WindowCompilationCache`, and all DP methods
-  share one :class:`~repro.engine.compiled.CompiledNet` compilation;
+  :class:`~repro.engine.wincache.WindowCompilationCache`, all DP methods
+  share one :class:`~repro.engine.compiled.CompiledNet` compilation, and
+  one tree DP run answers every target of a tree;
 * a sweep can batch **multiple technologies** at once
   (``design_population(methods=..., technologies=[...], protocol=...)``):
   every (net, technology) pair is one task in the same worker pool, with
@@ -23,8 +28,9 @@ reusable, parallel, cache-backed primitive:
   engine's disk cache);
 * tasks fan out over a ``ProcessPoolExecutor`` when ``workers > 1``
   (results are deterministic and identical to the serial path — the golden
-  tests check this); a net whose DP passes are infeasible is reported
-  per-net (``NetDesignResult.error``) instead of aborting the sweep;
+  tests check this); an entry whose DP passes are infeasible, or whose
+  design raises, is reported per entry (``NetDesignResult.error``) instead
+  of aborting the sweep;
 * the result is a flat, structured set of :class:`DesignRecord` rows that
   Table 1/2, Figure 7 and any future sweep can aggregate without re-running
   anything.
@@ -57,6 +63,7 @@ import threading
 import time
 import traceback
 from dataclasses import asdict, dataclass, replace
+from functools import reduce
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -93,9 +100,10 @@ from repro.engine.wincache import (
 )
 from repro.tech.library import RepeaterLibrary
 from repro.tech.technology import Technology
-from repro.tree.buffering import TREE_CORES, TreePowerDp
+from repro.tree.buffering import TREE_CORES, TreePowerDp, TreeSolution
 from repro.tree.generator import htree
 from repro.utils.canonical import stable_digest
+from repro.utils.counters import Snapshot
 from repro.utils.validation import require, require_positive
 
 __all__ = [
@@ -463,163 +471,91 @@ def _attach_window_cache(spec: WindowCacheSpec) -> Optional[WindowCompilationCac
 
 
 # --------------------------------------------------------------------------- #
-# per-net task (top level so ProcessPoolExecutor can pickle it)
+# per-entry task (top level so ProcessPoolExecutor can pickle it)
 # --------------------------------------------------------------------------- #
-def _design_case(
-    case: NetCase,
-    methods: Tuple[MethodSpec, ...],
-    targets: Optional[TargetSpec],
-    technology: Technology,
-    rip_config: RipConfig,
-    pruning: PruningConfig,
-    window_cache: Optional[WindowCompilationCache],
-    compiled: Optional[CompiledNet] = None,
-) -> NetDesignResult:
-    resolved_targets = (
-        case.targets if targets is None else targets.targets_for(case.tau_min)
-    )
-    records: List[DesignRecord] = []
-    method_runtimes: Dict[str, float] = {}
-    states = 0
-    error: Optional[str] = None
-    failure_kind: Optional[str] = None
-    compile_seconds = 0.0
-    # The engine-/process-shared window cache serves every RIP method and
-    # every timing target of this task (keys cover the net fingerprint, the
-    # dp context and the RIP configuration's window/pitch, so neither other
-    # nets nor differently-configured methods can collide).  Snapshot the
-    # counters so the task's delta can be merged back by the engine.
-    stats_before = window_cache.statistics if window_cache is not None else None
-    sanitize_before = sanitize.statistics() if sanitize.enabled() else None
+@dataclass
+class _Task:
+    """What every method of one population entry shares.  ``compiled`` comes
+    from the shared-memory arena, or the entry's first ``dp`` method builds
+    it (taking ``compile_seconds``) for the later ones."""
 
-    try:
-        # Deterministic fault injection (REPRO_FAULTS): crash/sigkill/hang
-        # escape to the supervised pool; exception-mode lands in the per-net
-        # isolation below as a "crashed" failure.
-        faults.maybe_inject("design.case")
-        for spec in methods:
-            if spec.kind == "tree":
-                # Tree methods apply to tree population entries only.
-                continue
-            if spec.kind == "rip":
-                rip = Rip(
-                    technology,
-                    spec.rip or rip_config,
-                    window_cache=window_cache if window_cache is not None else False,
-                )
-                prepared = rip.prepare(case.net)
-                states += prepared.coarse_result.statistics.states_generated
-                runtimes: List[float] = []
-                outcomes = rip.run_prepared_batch(prepared, resolved_targets)
-                for target, outcome in zip(resolved_targets, outcomes):
-                    states += outcome.states_generated
-                    runtimes.append(outcome.runtime_seconds)
-                    feasible = outcome.feasible
-                    records.append(
-                        DesignRecord(
-                            net_name=case.net.name,
-                            method=spec.name,
-                            target=target,
-                            target_factor=target / case.tau_min,
-                            feasible=feasible,
-                            total_width=outcome.total_width if feasible else None,
-                            delay=outcome.delay if feasible else None,
-                            runtime_seconds=outcome.runtime_seconds,
-                            num_repeaters=outcome.solution.num_repeaters,
-                            fallback_used=outcome.fallback_used,
-                            technology=technology.name,
-                        )
-                    )
-                method_runtimes[spec.name] = (
-                    sum(runtimes) / len(runtimes) if runtimes else 0.0
-                )
-            else:
-                if compiled is None:
-                    # One compilation serves every dp method of this net.
-                    compile_started = time.perf_counter()
-                    compiled = (
-                        window_cache.compiled(case.net, case.candidates)
-                        if window_cache is not None
-                        else CompiledNet(case.net, case.candidates)
-                    )
-                    compile_seconds = time.perf_counter() - compile_started
-                # The fused core draws its scratch arena from the per-worker
-                # process singleton (``kernels.shared_scratch``): within one
-                # worker every dp method, net task and RIP pass reuses the
-                # same buffers; worker processes each grow their own.
-                dp = PowerAwareDp(
-                    technology,
-                    pruning=pruning,
-                    core=spec.core,
-                )
-                run_started = time.perf_counter()
-                result = dp.run(case.net, spec.library, compiled=compiled)
-                # Each method is charged the (shared) compilation, mirroring the
-                # legacy harness where every dp run legalised its own candidates
-                # — keeps reported DP runtimes comparable across PRs.
-                runtime = (time.perf_counter() - run_started) + compile_seconds
-                method_runtimes[spec.name] = runtime
-                states += result.statistics.states_generated
-                for target in resolved_targets:
-                    point = result.best_for_delay(target)
-                    records.append(
-                        DesignRecord(
-                            net_name=case.net.name,
-                            method=spec.name,
-                            target=target,
-                            target_factor=target / case.tau_min,
-                            feasible=point is not None,
-                            total_width=None if point is None else point.total_width,
-                            delay=None if point is None else point.delay,
-                            runtime_seconds=runtime,
-                            num_repeaters=0
-                            if point is None
-                            else point.solution.num_repeaters,
-                            technology=technology.name,
-                        )
-                    )
-    except InfeasibleNetError as infeasible:
-        # Report per-net instead of aborting the whole population sweep.
-        # Records completed before the failure are dropped so that a failed
-        # net never contributes rows: ``PopulationDesignResult.records()``,
-        # ``EngineStatistics.num_designs`` and the table aggregations (which
-        # skip failed nets) stay consistent with each other.
-        error = str(infeasible)
-        failure_kind = "infeasible"
-        records.clear()
-        method_runtimes.clear()
-    except Exception as crashed:
-        # Any *other* exception — a numpy error, a corrupt cache payload, a
-        # SanitizeError — gets the same per-net isolation, with the type
-        # recorded so crashes stay distinguishable from infeasibility.
-        error = _describe_failure(crashed)
-        failure_kind = "crashed"
-        records.clear()
-        method_runtimes.clear()
+    case: "NetCase | TreeCase"
+    targets: Tuple[float, ...]
+    technology: Technology
+    rip_config: RipConfig
+    pruning: PruningConfig
+    window_cache: Optional[WindowCompilationCache]
+    compiled: "Optional[CompiledNet | CompiledTree]"
+    compile_seconds: float = 0.0
 
-    cache_statistics = (
-        window_cache.statistics.since(stats_before)
-        if window_cache is not None and stats_before is not None
-        else None
+
+def _design_rip(spec: MethodSpec, task: _Task) -> Tuple[float, int, List[Dict[str, Any]]]:
+    """The hybrid RIP flow: one coarse pass serves every target.  Each row
+    carries its target's flow runtime; the method runtime is their mean."""
+    rip = Rip(
+        task.technology,
+        spec.rip or task.rip_config,
+        window_cache=task.window_cache if task.window_cache is not None else False,
     )
-    sanitizer_statistics = (
-        sanitize.statistics().since(sanitize_before)
-        if sanitize_before is not None
-        else None
+    prepared = rip.prepare(task.case.net)
+    states = prepared.coarse_result.statistics.states_generated
+    rows = []
+    for outcome in rip.run_prepared_batch(prepared, task.targets):
+        states += outcome.states_generated
+        rows.append(
+            dict(
+                feasible=outcome.feasible,
+                total_width=outcome.total_width if outcome.feasible else None,
+                delay=outcome.delay if outcome.feasible else None,
+                runtime_seconds=outcome.runtime_seconds,
+                num_repeaters=outcome.solution.num_repeaters,
+                fallback_used=outcome.fallback_used,
+            )
+        )
+    runtime = sum(row["runtime_seconds"] for row in rows) / len(rows) if rows else 0.0
+    return runtime, states, rows
+
+
+def _design_dp(spec: MethodSpec, task: _Task) -> Tuple[float, int, List[Dict[str, Any]]]:
+    """A baseline power DP: one fixed-library frontier answers every target."""
+    case = task.case
+    if task.compiled is None:
+        # One compilation serves every dp method of this net.
+        compile_started = time.perf_counter()
+        task.compiled = (
+            task.window_cache.compiled(case.net, case.candidates)
+            if task.window_cache is not None
+            else CompiledNet(case.net, case.candidates)
+        )
+        task.compile_seconds = time.perf_counter() - compile_started
+    # The fused core draws its scratch arena from the per-worker
+    # process singleton (``kernels.shared_scratch``): within one
+    # worker every dp method, net task and RIP pass reuses the
+    # same buffers; worker processes each grow their own.
+    dp = PowerAwareDp(
+        task.technology,
+        pruning=task.pruning,
+        core=spec.core,
     )
-    return NetDesignResult(
-        net_name=case.net.name,
-        tau_min=case.tau_min,
-        targets=tuple(resolved_targets),
-        records=tuple(records),
-        method_runtimes=method_runtimes,
-        states_generated=states,
-        technology=technology.name,
-        error=error,
-        failure_kind=failure_kind,
-        cache_statistics=cache_statistics,
-        sanitizer_statistics=sanitizer_statistics,
-    )
+    run_started = time.perf_counter()
+    result = dp.run(case.net, spec.library, compiled=task.compiled)
+    # Each method is charged the (shared) compilation, mirroring the
+    # legacy harness where every dp run legalised its own candidates
+    # — keeps reported DP runtimes comparable across PRs.
+    runtime = (time.perf_counter() - run_started) + task.compile_seconds
+    rows = []
+    for target in task.targets:
+        point = result.best_for_delay(target)
+        rows.append(
+            dict(
+                feasible=point is not None,
+                total_width=None if point is None else point.total_width,
+                delay=None if point is None else point.delay,
+                runtime_seconds=runtime,
+                num_repeaters=0 if point is None else point.solution.num_repeaters,
+            )
+        )
+    return runtime, result.statistics.states_generated, rows
 
 
 def _tree_dp_context(
@@ -647,122 +583,87 @@ def _tree_dp_context(
     )
 
 
-def _design_tree_case(
-    case: TreeCase,
-    methods: Tuple[MethodSpec, ...],
-    targets: Optional[TargetSpec],
-    technology: Technology,
-    pruning: PruningConfig,
-    window_cache: Optional[WindowCompilationCache],
-    compiled: Optional[CompiledTree] = None,
-) -> NetDesignResult:
-    """Design one tree population entry with every ``"tree"`` method.
-
-    The tree analogue of :func:`_design_case`: one DP run per method
-    answers every timing target (the root front is shared), drawn from the
-    window cache's memoized tree-solution tier when caching is on.
-    """
-    resolved_targets = (
-        case.targets if targets is None else targets.targets_for(case.tau_min)
+def _design_tree(spec: MethodSpec, task: _Task) -> Tuple[float, int, List[Dict[str, Any]]]:
+    """The multi-sink tree DP: one run answers every target (the root front
+    is shared), drawn from the window cache's memoized tree-solution tier
+    when caching is on."""
+    case, targets = task.case, task.targets
+    dp = TreePowerDp(
+        task.technology,
+        site_pitch=case.site_pitch,
+        max_states_per_node=case.max_states_per_node,
+        core=spec.core,
     )
-    records: List[DesignRecord] = []
-    method_runtimes: Dict[str, float] = {}
+
+    def run() -> List[TreeSolution]:
+        return dp.run_many(case.tree, spec.library, targets, compiled=task.compiled)
+
+    run_started = time.perf_counter()
+    if task.window_cache is not None:
+        context = _tree_dp_context(task.technology, task.pruning, spec, case)
+        solutions = task.window_cache.tree_solutions(case.tree, context, targets, run)
+    else:
+        solutions = run()
+    runtime = time.perf_counter() - run_started
     states = 0
-    error: Optional[str] = None
-    failure_kind: Optional[str] = None
-    stats_before = window_cache.statistics if window_cache is not None else None
-    sanitize_before = sanitize.statistics() if sanitize.enabled() else None
+    if solutions and solutions[0].statistics is not None:
+        # One DP run answers every target; the run-wide statistics are
+        # attached to each solution, so count them once per method.
+        states = solutions[0].statistics.states_generated
+    rows = [
+        dict(
+            feasible=solution.feasible,
+            total_width=solution.total_width if solution.feasible else None,
+            delay=solution.worst_delay if solution.feasible else None,
+            runtime_seconds=runtime,
+            num_repeaters=len(solution.assignments),
+        )
+        for solution in solutions
+    ]
+    return runtime, states, rows
 
-    try:
-        # Same fault-injection site as the two-pin task: the "design.case"
-        # registry entry covers both population classes.
-        faults.maybe_inject("design.case")
-        for spec in methods:
-            if spec.kind != "tree":
-                # RIP / two-pin DP methods apply to net population entries only.
-                continue
-            dp = TreePowerDp(
-                technology,
-                site_pitch=case.site_pitch,
-                max_states_per_node=case.max_states_per_node,
-                core=spec.core,
-            )
-            run_started = time.perf_counter()
-            if window_cache is not None:
-                context = _tree_dp_context(technology, pruning, spec, case)
-                solutions = window_cache.tree_solutions(
-                    case.tree,
-                    context,
-                    resolved_targets,
-                    lambda: dp.run_many(
-                        case.tree, spec.library, resolved_targets, compiled=compiled
-                    ),
-                )
-            else:
-                solutions = dp.run_many(
-                    case.tree, spec.library, resolved_targets, compiled=compiled
-                )
-            runtime = time.perf_counter() - run_started
-            method_runtimes[spec.name] = runtime
-            if solutions and solutions[0].statistics is not None:
-                # One DP run answers every target; the run-wide statistics are
-                # attached to each solution, so count them once per method.
-                states += solutions[0].statistics.states_generated
-            for target, solution in zip(resolved_targets, solutions):
-                records.append(
-                    DesignRecord(
-                        net_name=case.tree.name,
-                        method=spec.name,
-                        target=target,
-                        target_factor=target / case.tau_min,
-                        feasible=solution.feasible,
-                        total_width=solution.total_width if solution.feasible else None,
-                        delay=solution.worst_delay if solution.feasible else None,
-                        runtime_seconds=runtime,
-                        num_repeaters=len(solution.assignments),
-                        technology=technology.name,
-                    )
-                )
-    except InfeasibleNetError as infeasible:
-        # Same per-tree isolation and partial-record discipline as
-        # :func:`_design_case`.
-        error = str(infeasible)
-        failure_kind = "infeasible"
-        records.clear()
-        method_runtimes.clear()
-    except Exception as crashed:
-        error = _describe_failure(crashed)
-        failure_kind = "crashed"
-        records.clear()
-        method_runtimes.clear()
 
-    cache_statistics = (
-        window_cache.statistics.since(stats_before)
-        if window_cache is not None and stats_before is not None
-        else None
-    )
-    sanitizer_statistics = (
-        sanitize.statistics().since(sanitize_before)
-        if sanitize_before is not None
-        else None
-    )
+#: Each method kind's population class and design function.  A method
+#: designs the entries of exactly one class; its function returns the
+#: method's runtime, its DP states and one row per target (the
+#: :class:`DesignRecord` fields that differ by method).
+_METHOD_KINDS = {
+    "rip": (NetCase, _design_rip),
+    "dp": (NetCase, _design_dp),
+    "tree": (TreeCase, _design_tree),
+}
+
+
+def _case_name(case: "NetCase | TreeCase") -> str:
+    return case.tree.name if isinstance(case, TreeCase) else case.net.name
+
+
+def _case_targets(
+    case: "NetCase | TreeCase", targets: Optional[TargetSpec]
+) -> Tuple[float, ...]:
+    """The entry's own targets, or the sweep's target grid resolved on it."""
+    return tuple(case.targets if targets is None else targets.targets_for(case.tau_min))
+
+
+def _case_result(
+    case: "NetCase | TreeCase",
+    targets: Tuple[float, ...],
+    technology: Technology,
+    **outcome: Any,
+) -> NetDesignResult:
+    """The one assembly of an entry's :class:`NetDesignResult`, designed by
+    :func:`_design_case` or failed by the supervised pool."""
     return NetDesignResult(
-        net_name=case.tree.name,
+        net_name=_case_name(case),
         tau_min=case.tau_min,
-        targets=tuple(resolved_targets),
-        records=tuple(records),
-        method_runtimes=method_runtimes,
-        states_generated=states,
+        targets=targets,
         technology=technology.name,
-        population_class="tree",
-        error=error,
-        failure_kind=failure_kind,
-        cache_statistics=cache_statistics,
-        sanitizer_statistics=sanitizer_statistics,
+        population_class="tree" if isinstance(case, TreeCase) else "twopin",
+        **outcome,
     )
 
 
-def _design_any_case(
+def _design_case(
     case: "NetCase | TreeCase",
     methods: Tuple[MethodSpec, ...],
     targets: Optional[TargetSpec],
@@ -772,20 +673,90 @@ def _design_any_case(
     window_cache: Optional[WindowCompilationCache],
     compiled: "Optional[CompiledNet | CompiledTree]" = None,
 ) -> NetDesignResult:
-    """Dispatch one population entry to its class's design task."""
-    if isinstance(case, TreeCase):
-        return _design_tree_case(
-            case, methods, targets, technology, pruning, window_cache, compiled
-        )
-    return _design_case(
+    """Design one population entry with every method of its class.
+
+    The one task of every sweep, serial or pooled, for nets and trees
+    alike.  It owns target resolution, the ``design.case`` fault site,
+    per-entry isolation, the counter deltas and the result assembly, and
+    hands each method to its kind's function in :data:`_METHOD_KINDS`.
+    """
+    resolved = _case_targets(case, targets)
+    task = _Task(case, resolved, technology, rip_config, pruning, window_cache, compiled)
+    name = _case_name(case)
+    records: List[DesignRecord] = []
+    method_runtimes: Dict[str, float] = {}
+    states = 0
+    error: Optional[str] = None
+    failure_kind: Optional[str] = None
+    # The engine-/process-shared window cache serves every method and
+    # target of this task (keys cover the net/tree fingerprint, the dp
+    # context and the method's configuration, so neither other entries
+    # nor differently-configured methods can collide).  Snapshot the
+    # counters so the task's delta can be merged back by the engine.
+    stats_before = window_cache.statistics if window_cache is not None else None
+    sanitize_before = sanitize.statistics() if sanitize.enabled() else None
+
+    try:
+        # Deterministic fault injection (REPRO_FAULTS): crash/sigkill/hang
+        # escape to the supervised pool; exception-mode lands in the
+        # per-entry isolation below as a "crashed" failure.
+        faults.maybe_inject("design.case")
+        for spec in methods:
+            case_type, design = _METHOD_KINDS[spec.kind]
+            if not isinstance(case, case_type):
+                continue
+            runtime, method_states, rows = design(spec, task)
+            method_runtimes[spec.name] = runtime
+            states += method_states
+            records.extend(
+                DesignRecord(
+                    net_name=name,
+                    method=spec.name,
+                    target=target,
+                    target_factor=target / case.tau_min,
+                    technology=technology.name,
+                    **row,
+                )
+                for target, row in zip(resolved, rows)
+            )
+    except InfeasibleNetError as infeasible:
+        # Report per-entry instead of aborting the whole population sweep.
+        # Records completed before the failure are dropped so that a failed
+        # entry never contributes rows: ``PopulationDesignResult.records()``,
+        # ``EngineStatistics.num_designs`` and the table aggregations (which
+        # skip failed nets) stay consistent with each other.
+        error = str(infeasible)
+        failure_kind = "infeasible"
+        records.clear()
+        method_runtimes.clear()
+    except Exception as crashed:
+        # Any *other* exception — a numpy error, a corrupt cache payload, a
+        # SanitizeError — gets the same per-entry isolation, with the type
+        # recorded so crashes stay distinguishable from infeasibility.
+        error = _describe_failure(crashed)
+        failure_kind = "crashed"
+        records.clear()
+        method_runtimes.clear()
+
+    return _case_result(
         case,
-        methods,
-        targets,
+        resolved,
         technology,
-        rip_config,
-        pruning,
-        window_cache,
-        compiled=compiled,
+        records=tuple(records),
+        method_runtimes=method_runtimes,
+        states_generated=states,
+        error=error,
+        failure_kind=failure_kind,
+        cache_statistics=(
+            window_cache.statistics.since(stats_before)
+            if stats_before is not None
+            else None
+        ),
+        sanitizer_statistics=(
+            sanitize.statistics().since(sanitize_before)
+            if sanitize_before is not None
+            else None
+        ),
     )
 
 
@@ -926,7 +897,7 @@ def _design_case_payload(payload, attempt: int = 1) -> NetDesignResult:
         # wincache disk tier) match `site@key` specs and apply the
         # attempt-aware firing budget.
         with faults.task_context(task_key, attempt):
-            return _design_any_case(
+            return _design_case(
                 case,
                 methods,
                 targets,
@@ -937,7 +908,7 @@ def _design_case_payload(payload, attempt: int = 1) -> NetDesignResult:
                 compiled=compiled,
             )
     except Exception as infrastructure_error:
-        # Per-net failures are already isolated inside _design_any_case; an
+        # Per-entry failures are already isolated inside _design_case; an
         # exception escaping to here is infrastructure-level (arena/cache
         # attach, result assembly) and legitimately aborts the sweep — but
         # it must cross the pool as itself or as a picklable wrapper, never
@@ -948,10 +919,6 @@ def _design_case_payload(payload, attempt: int = 1) -> NetDesignResult:
 # --------------------------------------------------------------------------- #
 # sweep journal glue: task keys, sweep identity, result (de)serialization
 # --------------------------------------------------------------------------- #
-def _case_name(case: "NetCase | TreeCase") -> str:
-    return case.tree.name if isinstance(case, TreeCase) else case.net.name
-
-
 def _job_task_key(technology: Technology, case: "NetCase | TreeCase") -> str:
     """Stable per-task identifier of one (technology, case) job.
 
@@ -1020,40 +987,13 @@ def _sweep_components(
     }
 
 
-def _net_result_to_payload(result: NetDesignResult) -> Dict[str, Any]:
-    """JSON-safe journal payload of one completed task (exact round-trip).
-
-    Floats survive JSON bit-for-bit (shortest-round-trip repr), so a
-    replayed :class:`NetDesignResult` compares equal to the recorded one —
-    the property the ``--resume`` bit-identity tests assert.
-    """
-    return {
-        "net_name": result.net_name,
-        "tau_min": result.tau_min,
-        "targets": list(result.targets),
-        "records": [asdict(record) for record in result.records],
-        "method_runtimes": dict(result.method_runtimes),
-        "states_generated": result.states_generated,
-        "technology": result.technology,
-        "population_class": result.population_class,
-        "error": result.error,
-        "failure_kind": result.failure_kind,
-        "attempts": result.attempts,
-        "cache_statistics": (
-            asdict(result.cache_statistics)
-            if result.cache_statistics is not None
-            else None
-        ),
-        "sanitizer_statistics": (
-            asdict(result.sanitizer_statistics)
-            if result.sanitizer_statistics is not None
-            else None
-        ),
-    }
-
-
 def _net_result_from_payload(payload: Dict[str, Any]) -> NetDesignResult:
-    """Rebuild a :class:`NetDesignResult` from its journal payload."""
+    """Rebuild a :class:`NetDesignResult` from its journal payload.
+
+    The payload is the result's ``asdict``.  Floats survive JSON bit-for-bit
+    (shortest-round-trip repr), so a replayed result compares equal to the
+    recorded one — the property the ``--resume`` bit-identity tests assert.
+    """
     return NetDesignResult(
         net_name=payload["net_name"],
         tau_min=payload["tau_min"],
@@ -1079,6 +1019,15 @@ def _net_result_from_payload(payload: Dict[str, Any]) -> NetDesignResult:
             else None
         ),
     )
+
+
+def _merged_deltas(
+    deltas: Sequence[Optional[Snapshot]], empty: Snapshot
+) -> Optional[Snapshot]:
+    """The sweep's merged per-task counter deltas (``None`` when no task
+    reported any, i.e. the counters were off)."""
+    reported = [delta for delta in deltas if delta is not None]
+    return reduce(type(empty).merged, reported, empty) if reported else None
 
 
 class DesignEngine:
@@ -1201,11 +1150,6 @@ class DesignEngine:
         return self._recovery
 
     @property
-    def window_cache_enabled(self) -> bool:
-        """Whether tasks share the engine's window-compilation cache."""
-        return self._window_cache_spec.enabled
-
-    @property
     def window_cache_spec(self) -> WindowCacheSpec:
         """The shared-cache configuration tasks attach to."""
         return self._window_cache_spec
@@ -1241,10 +1185,11 @@ class DesignEngine:
     @property
     def store_statistics(self) -> StoreStatistics:
         """Cumulative protocol-store counters over all of this engine's stores."""
-        merged = StoreStatistics()
-        for tech_store in self._tech_stores.values():
-            merged = merged.merged(tech_store.statistics)
-        return merged
+        return reduce(
+            StoreStatistics.merged,
+            (tech_store.statistics for tech_store in self._tech_stores.values()),
+            StoreStatistics(),
+        )
 
     # ------------------------------------------------------------------ #
     def store_for(self, technology: Technology) -> ProtocolStore:
@@ -1345,32 +1290,21 @@ class DesignEngine:
                 if outcome.attempts != result.attempts:
                     result = replace(result, attempts=outcome.attempts)
                 if journal is not None:
-                    journal.record(
-                        job_keys[global_index], _net_result_to_payload(result)
-                    )
+                    journal.record(job_keys[global_index], asdict(result))
             else:
-                # Supervisor-terminal failure: synthesize the per-net result
+                # Supervisor-terminal failure: settle the per-entry result
                 # parent-side (the worker never returned one).  Deliberately
                 # not journaled — poisoned/timeout describe the environment,
                 # not the net, so a resumed sweep retries these tasks.
                 job_technology, case = jobs[global_index]
                 failure = outcome.failure
-                resolved = (
-                    case.targets
-                    if targets is None
-                    else targets.targets_for(case.tau_min)
-                )
-                result = NetDesignResult(
-                    net_name=_case_name(case),
-                    tau_min=case.tau_min,
-                    targets=tuple(resolved),
+                result = _case_result(
+                    case,
+                    _case_targets(case, targets),
+                    job_technology,
                     records=(),
                     method_runtimes={},
                     states_generated=0,
-                    technology=job_technology.name,
-                    population_class=(
-                        "tree" if isinstance(case, TreeCase) else "twopin"
-                    ),
                     error=failure.detail,
                     failure_kind=failure.kind,
                     attempts=failure.attempts,
@@ -1529,7 +1463,7 @@ class DesignEngine:
                 for index in todo:
                     job_technology, case = jobs[index]
                     with faults.task_context(job_keys[index]):
-                        result = _design_any_case(
+                        result = _design_case(
                             case,
                             method_tuple,
                             targets,
@@ -1539,9 +1473,7 @@ class DesignEngine:
                             shared,
                         )
                     if journal is not None:
-                        journal.record(
-                            job_keys[index], _net_result_to_payload(result)
-                        )
+                        journal.record(job_keys[index], asdict(result))
                     results[index] = result
         finally:
             if journal is not None:
@@ -1550,33 +1482,16 @@ class DesignEngine:
         states = sum(result.states_generated for result in results)
         num_designs = sum(len(result.records) for result in results)
 
-        cache_deltas = [
-            result.cache_statistics
-            for result in results
-            if result.cache_statistics is not None
-        ]
-        window_cache_stats: Optional[CacheStatistics] = None
-        if cache_deltas:
-            window_cache_stats = CacheStatistics()
-            for delta in cache_deltas:
-                window_cache_stats = window_cache_stats.merged(delta)
-        sanitizer_deltas = [
-            result.sanitizer_statistics
-            for result in results
-            if result.sanitizer_statistics is not None
-        ]
-        sanitizer_stats: Optional[SanitizerStatistics] = None
-        if sanitizer_deltas:
-            sanitizer_stats = SanitizerStatistics()
-            for delta in sanitizer_deltas:
-                sanitizer_stats = sanitizer_stats.merged(delta)
-        store_stats = StoreStatistics()
-        for name, tech_store in self._tech_stores.items():
-            store_stats = store_stats.merged(
+        store_stats = reduce(
+            StoreStatistics.merged,
+            (
                 tech_store.statistics.since(
                     store_stats_before.get(name, StoreStatistics())
                 )
-            )
+                for name, tech_store in self._tech_stores.items()
+            ),
+            StoreStatistics(),
+        )
         return PopulationDesignResult(
             nets=tuple(results),
             methods=tuple(names),
@@ -1585,9 +1500,14 @@ class DesignEngine:
                 states_generated=states,
                 num_designs=num_designs,
                 workers=self._workers,
-                window_cache=window_cache_stats,
+                window_cache=_merged_deltas(
+                    [result.cache_statistics for result in results], CacheStatistics()
+                ),
                 store=store_stats,
-                sanitizer=sanitizer_stats,
+                sanitizer=_merged_deltas(
+                    [result.sanitizer_statistics for result in results],
+                    SanitizerStatistics(),
+                ),
             ),
             technologies=tech_names,
         )

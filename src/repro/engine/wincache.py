@@ -84,6 +84,7 @@ from repro.tree.buffering import TreeBufferAssignment, TreeDpStatistics, TreeSol
 from repro.tree.io import tree_to_dict
 from repro.tree.rctree import RoutingTree
 from repro.utils.canonical import stable_digest
+from repro.utils.counters import Counters, gauge
 from repro.utils.disklru import DiskLruBudget
 from repro.utils.validation import require
 
@@ -313,7 +314,7 @@ def tree_solutions_from_payload(payload: Sequence[dict]) -> "list[TreeSolution]"
 
 
 @dataclass(frozen=True)
-class CacheStatistics:
+class CacheStatistics(Counters):
     """Hit/miss instrumentation of one :class:`WindowCompilationCache`.
 
     ``frontier_misses`` counts in-memory frontier misses; the ``disk_*``
@@ -332,7 +333,7 @@ class CacheStatistics:
     compiled_misses: int = 0
     frontier_hits: int = 0
     frontier_misses: int = 0
-    entries: int = 0
+    entries: int = gauge()
     evictions: int = 0
     disk_hits: int = 0
     disk_misses: int = 0
@@ -355,48 +356,6 @@ class CacheStatistics:
         """Fraction of lookups served from cache (0.0 when never used)."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def since(self, earlier: "CacheStatistics") -> "CacheStatistics":
-        """Counter deltas relative to an earlier snapshot of the same cache.
-
-        ``entries`` (a gauge) keeps this snapshot's value.  Used by the
-        batch engine to attribute shared-cache activity to individual net
-        tasks before merging the deltas back together.
-        """
-        return CacheStatistics(
-            candidate_hits=self.candidate_hits - earlier.candidate_hits,
-            candidate_misses=self.candidate_misses - earlier.candidate_misses,
-            compiled_hits=self.compiled_hits - earlier.compiled_hits,
-            compiled_misses=self.compiled_misses - earlier.compiled_misses,
-            frontier_hits=self.frontier_hits - earlier.frontier_hits,
-            frontier_misses=self.frontier_misses - earlier.frontier_misses,
-            entries=self.entries,
-            evictions=self.evictions - earlier.evictions,
-            disk_hits=self.disk_hits - earlier.disk_hits,
-            disk_misses=self.disk_misses - earlier.disk_misses,
-            disk_evictions=self.disk_evictions - earlier.disk_evictions,
-            refine_hits=self.refine_hits - earlier.refine_hits,
-            refine_cold_runs=self.refine_cold_runs - earlier.refine_cold_runs,
-        )
-
-    def merged(self, other: "CacheStatistics") -> "CacheStatistics":
-        """Combine two (delta) snapshots: counters add, ``entries`` takes
-        the maximum (per-process peak — per-worker caches are disjoint)."""
-        return CacheStatistics(
-            candidate_hits=self.candidate_hits + other.candidate_hits,
-            candidate_misses=self.candidate_misses + other.candidate_misses,
-            compiled_hits=self.compiled_hits + other.compiled_hits,
-            compiled_misses=self.compiled_misses + other.compiled_misses,
-            frontier_hits=self.frontier_hits + other.frontier_hits,
-            frontier_misses=self.frontier_misses + other.frontier_misses,
-            entries=max(self.entries, other.entries),
-            evictions=self.evictions + other.evictions,
-            disk_hits=self.disk_hits + other.disk_hits,
-            disk_misses=self.disk_misses + other.disk_misses,
-            disk_evictions=self.disk_evictions + other.disk_evictions,
-            refine_hits=self.refine_hits + other.refine_hits,
-            refine_cold_runs=self.refine_cold_runs + other.refine_cold_runs,
-        )
 
 
 class WindowCompilationCache:

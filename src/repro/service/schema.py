@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.dp.candidates import uniform_candidates
 from repro.engine.cache import NetCase
@@ -237,13 +237,4 @@ def response_payload(
         body["error"] = result.error
     else:
         body["records"] = [asdict(record) for record in result.records]
-    return body
-
-
-def error_payload(request: Optional[DesignRequest], status: str, message: str) -> dict:
-    """An NDJSON line for a request that produced no engine result."""
-    body = {"status": status, "error": message}
-    if request is not None:
-        body["request"] = request.digest
-        body["tenant"] = request.tenant
     return body

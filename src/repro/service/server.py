@@ -457,11 +457,6 @@ class BackgroundService:
     def service(self) -> DesignService:
         return self._service
 
-    @property
-    def url(self) -> str:
-        assert self.port is not None, "service not ready"
-        return f"http://{self._host}:{self.port}"
-
     def _run(self) -> None:
         async def main() -> None:
             self._loop = asyncio.get_running_loop()

@@ -688,15 +688,6 @@ class TreePowerDp:
         )
         return edge_caps, edge_delays, edge_widths, trace
 
-    def _fused_assignments(
-        self,
-        trace: _TreeNodeTrace,
-        index: int,
-        library_widths: np.ndarray,
-    ) -> List[TreeBufferAssignment]:
-        """Recover the reference's assignment tuple from the fused traces."""
-        return _assignments_from_trace(trace, index, library_widths)
-
 
 def _select_solutions(
     totals: np.ndarray,

@@ -135,6 +135,25 @@ def test_sweep_multiple_technologies(tmp_path, capsys):
     assert len(records) == 4
 
 
+def test_sweep_htree_population(tmp_path, capsys):
+    json_path = tmp_path / "records.json"
+    code = main([
+        "sweep", "--population", "htree", "--nets", "2", "--targets", "3",
+        "--htree-levels", "2", "--methods", "tree-g40", "--json", str(json_path),
+    ])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert any(line.strip().startswith("[tree]") for line in captured.out.splitlines())
+    payload = json.loads(json_path.read_text())
+    assert payload["failures"] == []
+    assert len(payload["records"]) == 6
+    assert {record["method"] for record in payload["records"]} == {"tree-g40"}
+
+    code = main(["sweep", "--population", "htree", "--tech", "cmos90"])
+    assert code == 2
+    assert "does not batch multiple --tech nodes" in capsys.readouterr().err
+
+
 def test_sweep_rejects_unknown_technology():
     parser = build_parser()
     with pytest.raises(SystemExit):

@@ -25,7 +25,7 @@ from repro.engine.cache import (
     protocol_key,
     timing_targets,
 )
-from repro.engine.design import DesignEngine, MethodSpec, TargetSpec
+from repro.engine.design import DesignEngine, MethodSpec, TargetSpec, build_htree_cases
 from repro.tech.library import RepeaterLibrary
 from repro.utils.validation import ValidationError
 
@@ -46,6 +46,32 @@ def _methods():
     return [
         MethodSpec.rip_method(),
         MethodSpec.dp_baseline("dp-g40", RepeaterLibrary.uniform_count(10.0, 40.0, 10)),
+    ]
+
+
+TREE_METHOD = MethodSpec.tree_method("tree-g40", RepeaterLibrary.uniform(40.0, 240.0, 40.0))
+
+
+@pytest.fixture(scope="module")
+def mixed_cases(tiny_cases, tech):
+    """Two nets and two H-trees, interleaved, in one population."""
+    trees = build_htree_cases(tech, count=2, levels=2)
+    return [tiny_cases[0], trees[0], tiny_cases[1], trees[1]]
+
+
+def _sweep(tech, cases, methods, workers=0):
+    with DesignEngine(tech, workers=workers, store=ProtocolStore()) as engine:
+        return engine.design_population(cases, methods)
+
+
+def _stripped(nets):
+    """Per-entry record dicts minus runtime_seconds (nondeterministic)."""
+    return [
+        [
+            {k: v for k, v in dataclasses.asdict(r).items() if k != "runtime_seconds"}
+            for r in net.records
+        ]
+        for net in nets
     ]
 
 
@@ -236,17 +262,41 @@ def test_engine_records_match_hand_rolled_loop(tiny_cases, tech):
                 assert record_dp.delay == point.delay
 
 
-def test_engine_parallel_matches_serial(tiny_cases, tech):
-    methods = _methods()
-    serial = DesignEngine(tech, workers=0, store=ProtocolStore())
-    parallel = DesignEngine(tech, workers=2, store=ProtocolStore())
-    key = lambda result: [
-        (r.net_name, r.method, r.target, r.feasible, r.total_width, r.delay)
-        for r in result.records()
+def test_engine_parallel_matches_serial(mixed_cases, tech):
+    """Nets and trees share one pool; both classes must match the serial run."""
+    methods = _methods() + [TREE_METHOD]
+    serial = _sweep(tech, mixed_cases, methods, workers=0)
+    parallel = _sweep(tech, mixed_cases, methods, workers=2)
+    assert parallel.methods == serial.methods
+    assert _stripped(parallel.nets) == _stripped(serial.nets)
+    assert [net.states_generated for net in parallel.nets] == [
+        net.states_generated for net in serial.nets
     ]
-    assert key(serial.design_population(tiny_cases, methods)) == key(
-        parallel.design_population(tiny_cases, methods)
-    )
+    assert [sorted(net.method_runtimes) for net in parallel.nets] == [
+        sorted(net.method_runtimes) for net in serial.nets
+    ]
+
+
+def test_mixed_population_matches_single_class_sweeps(mixed_cases, tech):
+    """Each entry is designed by its own class's methods only, exactly as a
+    sweep of that class alone designs it."""
+    mixed = _sweep(tech, mixed_cases, _methods() + [TREE_METHOD])
+    assert [net.population_class for net in mixed.nets] == [
+        "twopin", "tree", "twopin", "tree"
+    ]
+    for net in mixed.nets:
+        own = {"rip", "dp-g40"} if net.population_class == "twopin" else {"tree-g40"}
+        assert not net.failed
+        assert {record.method for record in net.records} == own
+        assert set(net.method_runtimes) == own
+    nets = _sweep(tech, mixed_cases[0::2], _methods())
+    trees = _sweep(tech, mixed_cases[1::2], [TREE_METHOD])
+    assert _stripped(mixed.nets[0::2]) == _stripped(nets.nets)
+    assert _stripped(mixed.nets[1::2]) == _stripped(trees.nets)
+    assert [net.states_generated for net in mixed.nets] == [
+        nets.nets[0].states_generated, trees.nets[0].states_generated,
+        nets.nets[1].states_generated, trees.nets[1].states_generated,
+    ]
 
 
 def test_engine_target_spec_resweeps(tiny_cases, tech):

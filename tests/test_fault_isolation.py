@@ -28,11 +28,13 @@ import pickle
 import pytest
 
 from repro.analysis import sanitize
+from repro.core.rip import InfeasibleNetError
 from repro.engine.cache import ProtocolConfig, ProtocolStore
 from repro.engine.design import (
     DesignEngine,
     MethodSpec,
     WorkerTaskError,
+    build_htree_cases,
     ensure_pool_safe,
 )
 import repro.engine.design as design_module
@@ -181,6 +183,60 @@ def test_infeasible_and_crashed_are_distinguished(tiny_cases, tech, monkeypatch)
     assert "RuntimeError" not in infeasible.error
 
 
+@pytest.mark.parametrize(
+    "workers", [0, pytest.param(2, marks=fork_only)], ids=["serial", "pooled"]
+)
+@pytest.mark.parametrize(
+    "error_factory, kind",
+    [
+        (lambda name: ValueError(f"poisoned {name}"), "crashed"),
+        (lambda name: InfeasibleNetError(name, "tree DP"), "infeasible"),
+    ],
+    ids=["crashed", "infeasible"],
+)
+def test_tree_failure_is_isolated_to_the_tree(
+    tech, monkeypatch, workers, error_factory, kind
+):
+    """A tree entry gets the same isolation boundary as a net: the failing
+    tree is classified and carries no records, its siblings are unchanged."""
+    # build_htree_cases probes tau_min with TreePowerDp: build before patching.
+    trees = build_htree_cases(tech, count=3, levels=2)
+    methods = [
+        MethodSpec.tree_method("tree-g40", RepeaterLibrary.uniform(40.0, 240.0, 40.0))
+    ]
+
+    def sweep():
+        engine = DesignEngine(tech, workers=workers, store=ProtocolStore())
+        try:
+            return engine.design_population(trees, methods)
+        finally:
+            engine.close()
+
+    healthy = sweep()
+    poisoned = trees[1].tree.name
+
+    class PoisonedTreeDp(design_module.TreePowerDp):
+        def run_many(self, tree, *args, **kwargs):
+            if tree.name == poisoned:
+                raise error_factory(tree.name)
+            return super().run_many(tree, *args, **kwargs)
+
+    monkeypatch.setattr(design_module, "TreePowerDp", PoisonedTreeDp)
+    population = sweep()
+    (failure,) = population.failures()
+    assert failure.net_name == poisoned
+    assert failure.failure_kind == kind
+    assert failure.population_class == "tree"
+    assert failure.records == () and failure.method_runtimes == {}
+    assert len(population.records()) == population.statistics.num_designs
+    for net, oracle in zip(population.nets, healthy.nets):
+        if net.net_name != poisoned:
+            assert [_record_key(r) for r in net.records] == [
+                _record_key(r) for r in oracle.records
+            ]
+            assert len(net.records) == 20
+
+
 # --------------------------------------------------------------------------- #
 # pooled isolation
 # --------------------------------------------------------------------------- #
@@ -221,7 +277,7 @@ def test_pooled_infrastructure_failure_crosses_pool_as_wrapper(
     def exploding_task(*args, **kwargs):
         raise UnpicklableError("infrastructure down", "worker")
 
-    monkeypatch.setattr(design_module, "_design_any_case", exploding_task)
+    monkeypatch.setattr(design_module, "_design_case", exploding_task)
     engine = DesignEngine(tech, workers=2, store=ProtocolStore())
     try:
         with pytest.raises(WorkerTaskError) as excinfo:

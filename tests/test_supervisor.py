@@ -38,7 +38,7 @@ import pytest
 
 from repro.analysis import faults, sanitize
 from repro.engine.cache import ProtocolConfig, ProtocolStore
-from repro.engine.design import DesignEngine, MethodSpec
+from repro.engine.design import DesignEngine, MethodSpec, build_htree_cases
 from repro.engine.supervisor import (
     JOURNAL_FORMAT_VERSION,
     RecoveryMonitor,
@@ -477,6 +477,34 @@ def test_resume_retries_quarantined_net(tiny_cases, healthy, tech, monkeypatch, 
     for net in resumed.nets:
         if net.net_name != victim:
             assert net == survivors_first[net.net_name]
+
+
+@pytest.mark.parametrize(
+    "workers", [0, pytest.param(2, marks=fork_only)], ids=["serial", "pooled"]
+)
+def test_resume_replays_every_entry_of_a_mixed_sweep(tiny_cases, tech, tmp_path, workers):
+    """Nets and trees are journaled alike: a resumed mixed sweep replays
+    every entry bit-for-bit (runtimes included) instead of designing it."""
+    cases = list(tiny_cases[:2]) + build_htree_cases(tech, count=2, levels=2)
+    methods = _methods() + [
+        MethodSpec.tree_method("tree-g40", RepeaterLibrary.uniform(40.0, 240.0, 40.0))
+    ]
+
+    def sweep(**journal):
+        store = ProtocolStore(cache_dir=tmp_path)
+        engine = DesignEngine(tech, workers=workers, store=store)
+        try:
+            return engine.design_population(cases, methods, **journal)
+        finally:
+            engine.close()
+
+    first = sweep(checkpoint=True)
+    resumed = sweep(resume=True)
+    assert [net.population_class for net in first.nets] == [
+        "twopin", "twopin", "tree", "tree"
+    ]
+    assert first.failures() == ()
+    assert resumed.nets == first.nets
 
 
 # --------------------------------------------------------------------------- #
