@@ -6,12 +6,12 @@ review comments and docstrings:
 * :mod:`repro.analysis.linter` — an AST lint engine with a pluggable rule
   registry (:mod:`repro.analysis.rules`) enforcing the repo's invariants:
   fingerprint completeness, hot-kernel allocation discipline, cache-key
-  hygiene, determinism, shm ownership and pool-crossing exceptions.
-  Exposed as the ``repro lint`` / ``rip lint`` CLI subcommand.
+  hygiene, determinism, pool-crossing exceptions and the fault-site
+  registry.  Exposed as the ``repro lint`` / ``rip lint`` CLI subcommand.
 * :mod:`repro.analysis.sanitize` — a ``REPRO_SANITIZE=1`` runtime mode that
   instruments kernel boundaries with read-only checks (post-prune dominance
-  replay, NaN/inf guards, scratch view overlap, shm-leak accounting) that
-  raise :class:`~repro.analysis.sanitize.SanitizeError` diagnostics.
+  replay, NaN/inf guards, scratch view overlap) that raise
+  :class:`~repro.analysis.sanitize.SanitizeError` diagnostics.
 """
 
 from typing import Any

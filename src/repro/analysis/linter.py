@@ -8,7 +8,7 @@ optional cross-module ``begin_run`` pass — rule R1 needs to see every
 the :class:`Linter` drives discovery, pragma filtering and ordering.
 
 Rules register themselves via :func:`register`; importing
-:mod:`repro.analysis.rules` loads the built-in set R1–R7.
+:mod:`repro.analysis.rules` loads the built-in set (R1–R4, R6, R7).
 
 Escape hatch: a trailing ``# repro-lint: disable=<rule>[,<rule>...]``
 comment on the offending line suppresses those rules there (``disable=all``
@@ -126,7 +126,7 @@ def register(rule_class: Type[Rule]) -> Type[Rule]:
 
 def available_rules() -> Dict[str, Type[Rule]]:
     """The registered rules, loading the built-in set on first use."""
-    import repro.analysis.rules  # noqa: F401  (registers R1–R7)
+    import repro.analysis.rules  # noqa: F401  (registers the built-in rules)
 
     return dict(sorted(_REGISTRY.items()))
 

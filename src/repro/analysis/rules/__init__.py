@@ -1,4 +1,4 @@
-"""Built-in lint rules R1–R7.
+"""Built-in lint rules R1–R4, R6 and R7 (R5 is retired).
 
 Importing this package registers every rule with the
 :mod:`repro.analysis.linter` registry:
@@ -13,8 +13,6 @@ Importing this package registers every rule with the
                               ``hash``/f-strings
 ``determinism``               R4 — no ambient entropy or ordering-sensitive
                               ``set`` iteration outside ``utils/rng.py``
-``shm-ownership``             R5 — shm publishers own ``unlink``; attach sites
-                              never call it
 ``pool-exception-reduce``     R6 — custom exceptions with ``__init__`` define
                               ``__reduce__`` so they survive the pool
 ``fault-site-registered``     R7 — ``maybe_inject``/``maybe_corrupt`` sites are
@@ -30,7 +28,6 @@ from repro.analysis.rules import (  # noqa: F401  (import registers the rules)
     fingerprint,
     hotalloc,
     pool_exceptions,
-    shm_ownership,
 )
 
 __all__ = [
@@ -40,5 +37,4 @@ __all__ = [
     "fingerprint",
     "hotalloc",
     "pool_exceptions",
-    "shm_ownership",
 ]

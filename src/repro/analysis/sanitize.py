@@ -3,8 +3,7 @@
 With the environment variable set, the DP drivers
 (:class:`~repro.dp.powerdp.PowerAwareDp`,
 :class:`~repro.dp.vanginneken.DelayOptimalDp`) call into this module at
-every kernel boundary, and :class:`~repro.engine.design.DesignEngine`
-verifies shm-arena accounting at ``close()``.  All checks are **read-only**
+every kernel boundary.  All checks are **read-only**
 — sanitize mode is bit-transparent: it never changes a record, only raises
 :class:`SanitizeError` when an engine invariant is broken.
 
@@ -20,8 +19,6 @@ Checks
 * ``scratch-overlap`` — the (caps, delays, widths) views a fused kernel
   returns must live in distinct scratch buffers; aliasing would corrupt the
   next level's expansion in place.
-* ``shm-leak`` — every published :class:`~repro.engine.shm.SharedPopulationArena`
-  segment must be unlinked by the time :meth:`DesignEngine.close` finishes.
 
 Counters (checks run / violations raised) are process-global and exposed as
 :class:`SanitizerStatistics` with the shared ``since``/``merged`` snapshot
@@ -33,7 +30,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -54,10 +51,6 @@ __all__ = [
     "check_level_2d",
     "check_tree_front_dominance",
     "check_tree_level",
-    "track_shm_created",
-    "track_shm_unlinked",
-    "live_shm",
-    "check_shm_leaks",
 ]
 
 ENV_VAR = "REPRO_SANITIZE"
@@ -97,7 +90,6 @@ class SanitizerStatistics(Counters):
 
 _checks_run = 0
 _violations = 0
-_LIVE_SHM: Dict[str, str] = {}
 
 
 def statistics() -> SanitizerStatistics:
@@ -332,39 +324,3 @@ def check_level_2d(
     check_finite(site, caps=caps, delays=delays)
     check_scratch_views(site, caps=caps, delays=delays)
     check_front_dominance_2d(caps, delays, where=site)
-
-
-# --------------------------------------------------------------------- #
-# Shared-memory arena accounting
-
-
-def track_shm_created(name: str, where: str) -> None:
-    """Record a published shm segment (no-op unless sanitize is enabled)."""
-    if enabled():
-        _LIVE_SHM[name] = where
-
-
-def track_shm_unlinked(name: str) -> None:
-    """Record that the publisher removed the segment name."""
-    _LIVE_SHM.pop(name, None)
-
-
-def live_shm() -> Dict[str, str]:
-    """Currently-tracked (published, not yet unlinked) segments."""
-    return dict(_LIVE_SHM)
-
-
-def check_shm_leaks(where: str) -> None:
-    """Fail if any published arena outlived its owner's teardown."""
-    _count()
-    if _LIVE_SHM:
-        leaked = ", ".join(
-            f"{name} (published by {origin})"
-            for name, origin in sorted(_LIVE_SHM.items())
-        )
-        _fail(
-            "shm-leak",
-            where,
-            f"{len(_LIVE_SHM)} shared-memory segment(s) were never "
-            f"unlinked: {leaked}",
-        )

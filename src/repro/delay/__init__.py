@@ -1,9 +1,9 @@
 """Delay models for buffered interconnect.
 
 The paper's analysis and algorithms use the Elmore delay of the switch-level
-RC stage model (Section 4.1, Eq. 1-2); this package implements that model
-plus the higher-accuracy estimates the paper mentions as drop-in
-replacements (moment matching / two-pole) and a slew estimate.
+RC stage model (Section 4.1, Eq. 1-2); this package implements that model,
+plus the RC-ladder moments whose first moment is an independent check of
+it (``-m1`` equals the Elmore delay).
 """
 
 from repro.delay.stage import (
@@ -19,9 +19,7 @@ from repro.delay.elmore import (
     stage_delays,
     unbuffered_net_delay,
 )
-from repro.delay.moments import ladder_moments, net_transfer_moments
-from repro.delay.twopole import d2m_delay, two_pole_delay
-from repro.delay.slew import elmore_slew, stage_output_slew
+from repro.delay.moments import ladder_moments
 
 __all__ = [
     "CompiledElmoreEvaluator",
@@ -34,9 +32,4 @@ __all__ = [
     "stage_delays",
     "unbuffered_net_delay",
     "ladder_moments",
-    "net_transfer_moments",
-    "d2m_delay",
-    "two_pole_delay",
-    "elmore_slew",
-    "stage_output_slew",
 ]

@@ -1,11 +1,9 @@
 """Transfer-function moment computation for RC ladders.
 
-The paper notes that "more accurate analytical delay models can be used by
-replacing the Elmore delay with the corresponding delay functions".  The
-moment machinery here (plus :mod:`repro.delay.twopole`) provides exactly that
-alternative: the first two moments of an RC ladder give the classic two-pole
-and D2M delay metrics, and the first moment is the (negated) Elmore delay,
-which doubles as a cross-check of the closed-form stage formulas.
+The first moment of an RC ladder is the (negated) Elmore delay, computed
+here from the ladder's node matrix rather than from the closed-form stage
+formulas, so it serves as an independent cross-check of them; the RC
+simulator in :mod:`repro.rc` takes the same ladders.
 """
 
 from __future__ import annotations
@@ -90,20 +88,3 @@ def discretize_net(
     capacitances[-1] += repeater.input_capacitance(net.receiver_width)
     return resistances, capacitances
 
-
-def net_transfer_moments(
-    net: TwoPinNet,
-    technology: Technology,
-    *,
-    order: int = 2,
-    lumps_per_segment: int = 10,
-    driver_width: float | None = None,
-) -> List[float]:
-    """Moments of the unbuffered net's driver-to-receiver transfer function."""
-    resistances, capacitances = discretize_net(
-        net,
-        technology,
-        lumps_per_segment=lumps_per_segment,
-        driver_width=driver_width,
-    )
-    return ladder_moments(resistances, capacitances, order=order)

@@ -23,7 +23,7 @@ legacy loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -68,26 +68,6 @@ class CompiledNet:
         )
         self._positions: Tuple[float, ...] = tuple(positions)
         self._intervals: Tuple[WireInterval, ...] = tuple(self._compile(net, positions))
-
-    @classmethod
-    def from_intervals(
-        cls,
-        net: TwoPinNet,
-        positions: Sequence[float],
-        intervals: Sequence[WireInterval],
-    ) -> "CompiledNet":
-        """Rebuild a compiled net from already-compiled intervals.
-
-        Used by the shared-memory population arena: the parent process
-        compiles once and workers reattach the interval arrays zero-copy
-        (``positions`` must already be legalised and merged — this
-        constructor performs no recompilation or validation).
-        """
-        compiled = cls.__new__(cls)
-        compiled._net = net
-        compiled._positions = tuple(positions)
-        compiled._intervals = tuple(intervals)
-        return compiled
 
     @staticmethod
     def _compile(net: TwoPinNet, positions: List[float]) -> List[WireInterval]:
@@ -289,25 +269,6 @@ class CompiledTree:
             edge.child: _compile_tree_edge(edge, self._site_pitch)
             for edge in tree.edges
         }
-
-    @classmethod
-    def from_edges(
-        cls,
-        tree: "RoutingTree",
-        site_pitch: float,
-        edges: Mapping[str, CompiledTreeEdge],
-    ) -> "CompiledTree":
-        """Rebuild a compiled tree from already-compiled edges.
-
-        Used by the shared-memory population arena: the parent process
-        compiles once and workers reattach the per-edge interval arrays
-        zero-copy (no recompilation or validation happens here).
-        """
-        compiled = cls.__new__(cls)
-        compiled._tree = tree
-        compiled._site_pitch = float(site_pitch)
-        compiled._edges = dict(edges)
-        return compiled
 
     @property
     def tree(self) -> "RoutingTree":

@@ -82,8 +82,7 @@ from repro.engine.cache import (
     technology_fingerprint,
     timing_targets,
 )
-from repro.engine.compiled import CompiledNet, CompiledTree
-from repro.engine.shm import SharedPopulationArena
+from repro.engine.compiled import CompiledNet
 from repro.engine.supervisor import (
     RecoveryMonitor,
     RetryPolicy,
@@ -348,9 +347,12 @@ class EngineStatistics:
 
     ``window_cache`` merges the per-task counter deltas of the shared
     window-compilation cache(s) — one per process; ``None`` when caching is
-    disabled.  ``store`` is the protocol-store counter delta of this sweep
-    (builds happen inside the sweep only for ``technologies=`` calls; the
-    cumulative engine-lifetime view is ``DesignEngine.store_statistics``).
+    disabled.  Its counters equal a serial sweep's whatever the worker
+    count; its ``entries`` gauge is per process (see
+    :class:`~repro.engine.wincache.CacheStatistics`).  ``store`` is the
+    protocol-store counter delta of this sweep (builds happen inside the
+    sweep only for ``technologies=`` calls; the cumulative engine-lifetime
+    view is ``DesignEngine.store_statistics``).
     """
 
     wall_clock_seconds: float
@@ -475,9 +477,9 @@ def _attach_window_cache(spec: WindowCacheSpec) -> Optional[WindowCompilationCac
 # --------------------------------------------------------------------------- #
 @dataclass
 class _Task:
-    """What every method of one population entry shares.  ``compiled`` comes
-    from the shared-memory arena, or the entry's first ``dp`` method builds
-    it (taking ``compile_seconds``) for the later ones."""
+    """What every method of one population entry shares.  The entry's first
+    ``dp`` method builds ``compiled`` (taking ``compile_seconds``) for the
+    later ones."""
 
     case: "NetCase | TreeCase"
     targets: Tuple[float, ...]
@@ -485,7 +487,7 @@ class _Task:
     rip_config: RipConfig
     pruning: PruningConfig
     window_cache: Optional[WindowCompilationCache]
-    compiled: "Optional[CompiledNet | CompiledTree]"
+    compiled: Optional[CompiledNet] = None
     compile_seconds: float = 0.0
 
 
@@ -596,7 +598,7 @@ def _design_tree(spec: MethodSpec, task: _Task) -> Tuple[float, int, List[Dict[s
     )
 
     def run() -> List[TreeSolution]:
-        return dp.run_many(case.tree, spec.library, targets, compiled=task.compiled)
+        return dp.run_many(case.tree, spec.library, targets)
 
     run_started = time.perf_counter()
     if task.window_cache is not None:
@@ -671,7 +673,6 @@ def _design_case(
     rip_config: RipConfig,
     pruning: PruningConfig,
     window_cache: Optional[WindowCompilationCache],
-    compiled: "Optional[CompiledNet | CompiledTree]" = None,
 ) -> NetDesignResult:
     """Design one population entry with every method of its class.
 
@@ -681,7 +682,7 @@ def _design_case(
     hands each method to its kind's function in :data:`_METHOD_KINDS`.
     """
     resolved = _case_targets(case, targets)
-    task = _Task(case, resolved, technology, rip_config, pruning, window_cache, compiled)
+    task = _Task(case, resolved, technology, rip_config, pruning, window_cache)
     name = _case_name(case)
     records: List[DesignRecord] = []
     method_runtimes: Dict[str, float] = {}
@@ -822,25 +823,6 @@ def build_htree_cases(
     return cases
 
 
-#: The worker process's attached population arena (name-keyed, one live
-#: mapping per process; re-attached when a new sweep publishes a new block).
-_PROCESS_ARENA: Optional[SharedPopulationArena] = None
-
-
-def _attach_population_arena(name: Optional[str]) -> Optional[SharedPopulationArena]:
-    """Create-or-reuse this process's mapping of the population arena."""
-    global _PROCESS_ARENA
-    if name is None:
-        return None
-    arena = _PROCESS_ARENA
-    if arena is None or arena.closed or arena.name != name:
-        if arena is not None:
-            arena.close()
-        arena = SharedPopulationArena.attach(name)
-        _PROCESS_ARENA = arena
-    return arena
-
-
 #: How often a pool worker checks that the process that forked it lives.
 _PARENT_POLL_SECONDS = 1.0
 
@@ -859,9 +841,9 @@ def _exit_with_parent(parent_pid: int) -> None:
     os._exit(1)
 
 
-def _init_worker(spec: WindowCacheSpec, arena_name: Optional[str] = None) -> None:
+def _init_worker(spec: WindowCacheSpec) -> None:
     """Pool initializer: exit with the driver, attach the shared window
-    cache and the arena."""
+    cache."""
     threading.Thread(
         target=_exit_with_parent,
         args=(os.getppid(),),
@@ -869,7 +851,6 @@ def _init_worker(spec: WindowCacheSpec, arena_name: Optional[str] = None) -> Non
         daemon=True,
     ).start()
     _attach_window_cache(spec)
-    _attach_population_arena(arena_name)
 
 
 def _design_case_payload(payload, attempt: int = 1) -> NetDesignResult:
@@ -881,17 +862,9 @@ def _design_case_payload(payload, attempt: int = 1) -> NetDesignResult:
         rip_config,
         pruning,
         cache_spec,
-        arena_name,
         task_key,
     ) = payload
     try:
-        compiled: "Optional[CompiledNet | CompiledTree]" = None
-        if arena_name is not None:
-            # ``case`` is a job index; the net/tree, technology, targets,
-            # candidate grid and compiled wire intervals all come from the
-            # shared block.
-            job = _attach_population_arena(arena_name).job(case)
-            case, technology, compiled = job.case, job.technology, job.compiled
         # The ambient (task key, attempt) lets every fault-injection site
         # below this frame (the design task, the kernels boundary, the
         # wincache disk tier) match `site@key` specs and apply the
@@ -905,14 +878,13 @@ def _design_case_payload(payload, attempt: int = 1) -> NetDesignResult:
                 rip_config,
                 pruning,
                 _attach_window_cache(cache_spec),
-                compiled=compiled,
             )
     except Exception as infrastructure_error:
         # Per-entry failures are already isolated inside _design_case; an
-        # exception escaping to here is infrastructure-level (arena/cache
-        # attach, result assembly) and legitimately aborts the sweep — but
-        # it must cross the pool as itself or as a picklable wrapper, never
-        # as an opaque pickling failure.
+        # exception escaping to here is infrastructure-level (cache attach,
+        # result assembly) and legitimately aborts the sweep — but it must
+        # cross the pool as itself or as a picklable wrapper, never as an
+        # opaque pickling failure.
         raise ensure_pool_safe(infrastructure_error) from None
 
 
@@ -1078,39 +1050,22 @@ class DesignEngine:
         # (``design_population(cache_spec=...)``).  Workers build
         # per-process equivalents.
         self._shared_window_caches: Dict[WindowCacheSpec, WindowCompilationCache] = {}
-        # Shared-memory population arenas published for worker pools; each
-        # sweep removes its own in a ``finally``, so anything still here at
-        # :meth:`close` belongs to a pool that crashed mid-task.
-        self._arenas: List[SharedPopulationArena] = []
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
         """Release engine-owned shared state (idempotent).
 
-        Unlinks any shared-memory population arenas that outlived their
-        pool — e.g. when a worker was killed mid-task and the sweep raised
-        ``BrokenProcessPool`` — and applies the window cache's disk budgets
-        (``gc()``) so a crashed sweep cannot leave the design-state
-        directory over budget.  Safe to call multiple times and from
-        ``__exit__`` regardless of how the sweep ended.
+        Applies the window cache's disk budgets (``gc()``) so a crashed
+        sweep cannot leave the design-state directory over budget.  Safe to
+        call multiple times and from ``__exit__`` regardless of how the
+        sweep ended.
         """
-        while self._arenas:
-            arena = self._arenas.pop()
-            try:
-                arena.close()
-            except Exception:  # pragma: no cover - best-effort teardown
-                pass
         for cache in self._shared_window_caches.values():
             if cache.cache_dir is not None:
                 try:
                     cache.gc()
                 except Exception:  # pragma: no cover - best-effort teardown
                     pass
-        if sanitize.enabled():
-            # Every arena published by this process must be unlinked by now
-            # (sweeps unlink in their ``finally``; the loop above reaped any
-            # crash survivors) — anything left is an shm leak.
-            sanitize.check_shm_leaks("DesignEngine.close")
 
     def __enter__(self) -> "DesignEngine":
         return self
@@ -1253,31 +1208,25 @@ class DesignEngine:
     ) -> None:
         """Run the ``todo`` jobs through the supervised worker pool.
 
-        Publishes the population once through one shared-memory block;
-        task payloads carry just the job index, and workers attach in the
-        pool initializer (alongside the per-process shared window cache —
-        all backed by the same disk tier when one is set).  The ``finally``
-        unlinks the block even when the sweep aborts on an infrastructure
-        error; arenas that somehow survive are reaped by :meth:`close`.
+        Each task's payload carries its own case and technology, and the
+        worker designs it exactly as the serial path does, through the
+        per-process shared window cache its pool initializer attached (all
+        workers backed by the same disk tier when one is set).
 
         Worker death and hangs never abort the sweep: the
-        :class:`SupervisedExecutor` rebuilds the pool (re-verifying the
-        arena's liveness between teardown and rebuild), retries collapse
+        :class:`SupervisedExecutor` rebuilds the pool, retries collapse
         suspects through its serial isolation drain, and converts terminal
         supervisor failures into per-net ``poisoned``/``timeout`` results.
         """
-        arena = SharedPopulationArena.publish(jobs)
-        self._arenas.append(arena)
         payloads = [
             (
-                index,
+                jobs[index][1],
                 method_tuple,
                 targets,
-                None,
+                jobs[index][0],
                 self._rip_config,
                 self._pruning,
                 spec,
-                arena.name,
                 job_keys[index],
             )
             for index in todo
@@ -1314,23 +1263,17 @@ class DesignEngine:
         executor = SupervisedExecutor(
             max_workers=self._workers,
             initializer=_init_worker,
-            initargs=(spec, arena.name),
+            initargs=(spec,),
             retry=self._retry,
             task_timeout_s=self._task_timeout_s,
             monitor=self._recovery,
-            on_rebuild=arena.verify_live,
         )
-        try:
-            executor.run(
-                _design_case_payload,
-                payloads,
-                keys=[job_keys[index] for index in todo],
-                on_result=settle,
-            )
-        finally:
-            arena.close()
-            if arena in self._arenas:
-                self._arenas.remove(arena)
+        executor.run(
+            _design_case_payload,
+            payloads,
+            keys=[job_keys[index] for index in todo],
+            on_result=settle,
+        )
 
     def design_population(
         self,

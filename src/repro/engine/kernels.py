@@ -472,7 +472,7 @@ def _fused_cross_prune(
     np.add(delays_sorted, delay_tolerance, out=delay_bound)
     np.add(widths_sorted, width_tolerance, out=width_bound)
     _cross_prune_range(
-        scratch, delays_sorted, widths_sorted, delay_bound, width_bound, keep, 0, n
+        scratch, delays_sorted, widths_sorted, delay_bound, width_bound, keep
     )
     return order[keep]
 
@@ -484,19 +484,18 @@ def _cross_prune_range(
     delay_bound: np.ndarray,
     width_bound: np.ndarray,
     keep: np.ndarray,
-    begin: int,
-    stop: int,
 ) -> None:
-    """Chunked-history cross prune of one sorted row range, into ``keep``.
+    """Chunked-history cross prune of one level, into ``keep``.
 
-    The rows ``[begin, stop)`` must be one contiguous problem in ``(cap,
-    delay, width)`` sort order; verdicts are written to ``keep[begin:stop]``.
-    :func:`_fused_cross_prune` runs it over the whole level.
+    The rows must be in ``(cap, delay, width)`` sort order; the verdict of
+    row ``i`` is written to ``keep[i]``.  :func:`_fused_cross_prune` runs it
+    over the whole level.
     """
+    n = len(keep)
     hist_delays = np.empty(0)
     hist_width_min = np.empty(0)
-    for start in range(begin, stop, _CROSS_CHUNK):
-        end = min(start + _CROSS_CHUNK, stop)
+    for start in range(0, n, _CROSS_CHUNK):
+        end = min(start + _CROSS_CHUNK, n)
         b = end - start
         dominated = scratch.mask_b[:b]
         # Inside the chunk: strict upper triangle (i < j) pairwise, on
@@ -524,7 +523,7 @@ def _cross_prune_range(
                     hist_width_min[position[hit] - 1] <= width_bound[start + hit]
                 )
         np.logical_not(dominated, out=keep[start:end])
-        if end < stop:
+        if end < n:
             # Merge the whole chunk — dominated states included, since the
             # pairwise rule lets them dominate later states too — into the
             # sorted history and refresh the prefix-min widths.

@@ -10,22 +10,21 @@ stalls the sweep forever.  This module supplies the two missing layers:
 :class:`SupervisedExecutor`
     Wraps a ``ProcessPoolExecutor`` with per-task submission tracking.  On
     pool collapse it rebuilds the pool (re-running the same initializer, so
-    workers re-attach the shared window cache and the shm population arena)
-    and resubmits the in-flight tasks under a bounded
-    :class:`RetryPolicy` with exponential backoff.  Because a collapse with
-    several tasks in flight cannot be attributed to one of them, suspects
-    are re-driven through a **serial isolation drain** (one task in flight
-    at a time) until the pool proves healthy again — a second collapse in
-    the drain is attributable by construction, and a task that collapses
-    the pool on its final attempt is **quarantined** as a per-task
-    ``poisoned`` failure (attempt count and worker signal/exit info
-    recorded) while its siblings complete.  With a ``task_timeout_s``
-    deadline, a hung worker is reaped (the pool's processes are killed and
-    the pool rebuilt), the task is terminal with kind ``timeout``, and
-    innocent tasks killed alongside are resubmitted without being charged
-    an attempt.  All recovery activity is counted on a shared
-    :class:`RecoveryMonitor` so the CLI, the benchmarks and the service's
-    ``/metrics`` breaker section can observe it.
+    workers re-attach the shared window cache) and resubmits the in-flight
+    tasks under a bounded :class:`RetryPolicy` with exponential backoff.
+    Because a collapse with several tasks in flight cannot be attributed to
+    one of them, suspects are re-driven through a **serial isolation
+    drain** (one task in flight at a time) until the pool proves healthy
+    again — a second collapse in the drain is attributable by construction,
+    and a task that collapses the pool on its final attempt is
+    **quarantined** as a per-task ``poisoned`` failure (attempt count and
+    worker signal/exit info recorded) while its siblings complete.  With a
+    ``task_timeout_s`` deadline, a hung worker is reaped (the pool's
+    processes are killed and the pool rebuilt), the task is terminal with
+    kind ``timeout``, and innocent tasks killed alongside are resubmitted
+    without being charged an attempt.  All recovery activity is counted on
+    a shared :class:`RecoveryMonitor` so the CLI, the benchmarks and the
+    service's ``/metrics`` breaker section can observe it.
 
 :class:`SweepJournal`
     A versioned, self-keyed, append-only checkpoint of completed per-task
@@ -165,9 +164,7 @@ class SupervisedExecutor:
 
     ``initializer``/``initargs`` are re-run on every rebuilt pool, so
     worker processes re-attach whatever shared state the original pool had
-    (window cache spec, shm arena).  ``on_rebuild`` is called between
-    tearing the broken pool down and building the fresh one — the engine
-    uses it to re-verify that the shm population arena is still live.
+    (the window cache spec).
     """
 
     def __init__(
@@ -179,7 +176,6 @@ class SupervisedExecutor:
         retry: Optional[RetryPolicy] = None,
         task_timeout_s: Optional[float] = None,
         monitor: Optional[RecoveryMonitor] = None,
-        on_rebuild: Optional[Callable[[], None]] = None,
     ) -> None:
         require(max_workers >= 1, "max_workers must be >= 1")
         if task_timeout_s is not None:
@@ -190,7 +186,6 @@ class SupervisedExecutor:
         self._retry = retry if retry is not None else RetryPolicy()
         self._task_timeout_s = task_timeout_s
         self._monitor = monitor if monitor is not None else RecoveryMonitor()
-        self._on_rebuild = on_rebuild
         self._pool: Optional[ProcessPoolExecutor] = None
         # Rolling snapshot of the current pool's worker processes — kept so
         # exit codes/signals are still readable after the executor reaps a
@@ -474,8 +469,6 @@ class SupervisedExecutor:
         monitor.set_rebuilding(True)
         try:
             self._teardown_pool(kill=kill)
-            if self._on_rebuild is not None:
-                self._on_rebuild()
             self._pool = self._make_pool()
             monitor.count("rebuilds")
         finally:

@@ -325,6 +325,12 @@ class CacheStatistics(Counters):
     so ``hits``, ``misses`` and ``hit_rate`` leave them out.  ``entries``
     is a gauge (current entry count of the three window layers), every
     other field a monotone counter.
+
+    Each process has its own cache, so ``entries`` cannot be compared
+    between a serial and a pooled sweep, nor between two pooled runs: a
+    serial sweep reports the size of the engine's cache, a pooled sweep the
+    largest worker-cache size seen when a task ended, which depends on
+    scheduling.  Every counter can be compared.
     """
 
     candidate_hits: int = 0

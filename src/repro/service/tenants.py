@@ -10,7 +10,7 @@ the configured entry/file/byte budgets.  Each spec names its tenant as
 the cache partition, and the engine keys its shared caches by spec
 (``DesignEngine.shared_cache_for``), so tenants get fully isolated
 in-memory caches — REFINE memo included — even without a disk tier,
-while the protocol store, pool, and shm arena stay shared — those are
+while the protocol store and the worker pool stay shared — those are
 keyed by content, not by tenant.
 
 Admission is capacity-bounded: once ``max_tenants`` distinct tenants have

@@ -1,13 +1,13 @@
 """Tests for the repro.analysis AST linter (ISSUE 7).
 
-Every rule R1-R7 is exercised against a positive (violating) and negative
-(clean) snippet under ``tests/lint_fixtures/``; the positive fixtures mark
-each expected hit with a trailing ``# expect: <rule-id>`` comment, and the
-test asserts the linter reports exactly that ``(rule, line)`` set — no
-misses, no extras.  The suite also locks down the engine mechanics (pragma
-suppression, rule selection, output formats, parse-error reporting, the R1
-activation gate) and the satellite-1 guarantee that ``src/repro`` itself
-lints clean.
+Every rule (R1-R4, R6, R7) is exercised against a positive (violating)
+and negative (clean) snippet under ``tests/lint_fixtures/``; the positive
+fixtures mark each expected hit with a trailing ``# expect: <rule-id>``
+comment, and the test asserts the linter reports exactly that ``(rule,
+line)`` set — no misses, no extras.  The suite also locks down the engine
+mechanics (pragma suppression, rule selection, output formats, parse-error
+reporting, the R1 activation gate) and the satellite-1 guarantee that
+``src/repro`` itself lints clean.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ RULE_IDS = frozenset(
         "hot-alloc",
         "cache-key-hygiene",
         "determinism",
-        "shm-ownership",
         "pool-exception-reduce",
         "fault-site-registered",
     }

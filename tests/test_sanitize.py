@@ -1,8 +1,8 @@
 """Fault-injection and transparency tests for ``REPRO_SANITIZE=1`` (ISSUE 7).
 
 The sanitizer must (a) catch a kernel that emits a dominated state, a NaN
-delay, aliased scratch views, or a leaked shm arena — naming the rule and
-the level in its diagnostic — and (b) be **bit-transparent** when nothing is
+delay or aliased scratch views — naming the rule and the level in its
+diagnostic — and (b) be **bit-transparent** when nothing is
 injected: identical frontiers/records with and without the mode, with the
 check counters threaded through :class:`EngineStatistics` (including across
 the worker pool's pickle channel).
@@ -22,7 +22,6 @@ from repro.dp.powerdp import PowerAwareDp
 from repro.dp.vanginneken import DelayOptimalDp
 from repro.engine.cache import ProtocolConfig, ProtocolStore
 from repro.engine.design import DesignEngine, MethodSpec
-from repro.engine.shm import SharedPopulationArena
 from repro.tech.library import RepeaterLibrary
 from repro.tech.nodes import NODE_180NM
 
@@ -214,34 +213,6 @@ def test_sanitize_error_survives_pickling():
 
 
 # --------------------------------------------------------------------------- #
-# Shared-memory leak accounting
-
-
-def test_leaked_arena_is_reported_then_cleared(tiny_cases, sanitized):
-    jobs = [(NODE_180NM, case) for case in tiny_cases]
-    arena = SharedPopulationArena.publish(jobs)
-    name = arena.name
-    try:
-        assert name in sanitize.live_shm()
-        with pytest.raises(SanitizeError) as excinfo:
-            sanitize.check_shm_leaks("test")
-        assert excinfo.value.rule == "shm-leak"
-        assert name in excinfo.value.detail
-    finally:
-        arena.close()
-    assert name not in sanitize.live_shm()
-    sanitize.check_shm_leaks("test")  # clean after the publisher unlinks
-
-
-def test_arena_publish_untracked_when_disabled(tiny_cases, monkeypatch):
-    monkeypatch.delenv(sanitize.ENV_VAR, raising=False)
-    with SharedPopulationArena.publish(
-        [(NODE_180NM, case) for case in tiny_cases]
-    ) as arena:
-        assert arena.name not in sanitize.live_shm()
-
-
-# --------------------------------------------------------------------------- #
 # Engine statistics threading
 
 
@@ -268,8 +239,7 @@ def test_engine_serial_threads_sanitizer_statistics(tiny_cases, monkeypatch):
 
 
 def test_engine_parallel_threads_sanitizer_statistics(tiny_cases, sanitized):
-    # Worker-side deltas must survive the pool's pickle channel, and the
-    # engine's own close() must find no leaked arena afterwards.
+    # Worker-side deltas must survive the pool's pickle channel.
     with DesignEngine(NODE_180NM, workers=2, store=ProtocolStore()) as engine:
         result = engine.design_population(tiny_cases, _methods())
     stats = result.statistics.sanitizer

@@ -12,8 +12,9 @@ Four layers, bottom up:
   deadline, ordinary exceptions propagate unchanged;
 * full-engine integration — faults injected into a real population sweep
   leave every *other* net's records bit-identical (runtime excluded) to an
-  all-healthy serial sweep, shm accounting stays balanced across a pool
-  rebuild under ``REPRO_SANITIZE=1``, and a driver-killed ``rip sweep`` is
+  all-healthy serial sweep (also across a SIGKILL rebuild under
+  ``REPRO_SANITIZE=1``), a sweep whose every task kills its worker ends
+  with every net quarantined, and a driver-killed ``rip sweep`` is
   resumed bit-for-bit from its journal by ``--resume`` in a fresh
   interpreter.
 
@@ -36,6 +37,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.engine.design as design_module
 from repro.analysis import faults, sanitize
 from repro.engine.cache import ProtocolConfig, ProtocolStore
 from repro.engine.design import DesignEngine, MethodSpec, build_htree_cases
@@ -429,11 +431,9 @@ def test_hung_net_times_out_and_siblings_match_oracle(
 
 
 @fork_only
-def test_shm_accounting_balanced_across_rebuild_under_sanitizer(
-    tiny_cases, tech, monkeypatch
-):
-    """Satellite 1: a pool rebuild re-attaches the same arena; with
-    REPRO_SANITIZE on, close() asserts the create/unlink ledger balances."""
+def test_sigkill_rebuild_recovers_under_sanitizer(tiny_cases, tech, monkeypatch):
+    """A SIGKILLed worker's pool is rebuilt and the retried net succeeds
+    with REPRO_SANITIZE on."""
     victim = tiny_cases[1].net.name
     _inject(monkeypatch, f"design.case@{tech.name}/{victim}:sigkill:1")
     monkeypatch.setenv(sanitize.ENV_VAR, "1")
@@ -444,7 +444,26 @@ def test_shm_accounting_balanced_across_rebuild_under_sanitizer(
         assert engine.recovery.snapshot()["rebuilds"] >= 1
     finally:
         engine.close()
-    assert engine._arenas == []
+
+
+@fork_only
+def test_every_task_killing_its_worker_is_quarantined(tiny_cases, tech, monkeypatch):
+    """When every task SIGKILLs its worker, the supervisor quarantines each
+    net as ``poisoned`` across pool rebuilds instead of aborting the sweep."""
+
+    def suicide(*args, **kwargs):  # runs inside the forked worker
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(design_module, "_design_case", suicide)
+    engine = DesignEngine(tech, workers=2, store=ProtocolStore())
+    try:
+        population = engine.design_population(tiny_cases, _methods())
+        snapshot = engine.recovery.snapshot()
+    finally:
+        engine.close()
+    assert all(net.failure_kind == "poisoned" for net in population.nets)
+    assert all(net.attempts == 2 for net in population.nets)
+    assert snapshot["rebuilds"] >= 1
 
 
 @fork_only

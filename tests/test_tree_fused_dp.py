@@ -7,7 +7,7 @@ statistics — over random trees, degenerate chains, wide fan-in merges, hard
 state caps and infeasible targets.  The
 serve layer rides the same oracle: the window cache's tree tier, the tree
 serialisation round-trip, the H-tree workload generator and the
-DesignEngine population path (serial and multiprocess/shared-memory) are
+DesignEngine population path (serial and multiprocess) are
 covered here too.
 """
 
@@ -302,8 +302,8 @@ def test_design_engine_htree_population_cores_identical(tech):
 
 
 def test_design_engine_htree_parallel_matches_serial(tech):
-    """Workers receive trees through the shared-memory arena (topology +
-    compiled edge intervals, zero copy) and must reproduce the serial run."""
+    """Each pool task carries its tree case, and the worker must reproduce
+    the serial run."""
     cases = build_htree_cases(tech, count=2, levels=2)
     library = RepeaterLibrary.uniform(40.0, 240.0, 40.0)
     methods = [MethodSpec.tree_method("tree-fused", library, core="fused")]
