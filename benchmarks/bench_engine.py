@@ -4,19 +4,21 @@ Nine sections, all but ``tree_dp`` and ``fault_recovery`` on the shared
 protocol-store population:
 
 * **kernels** — the Table-1-style sweep (RIP + three size-10 baselines)
-  with the default **vectorized** pruning kernels vs. the **reference**
-  kernels (the seed harness' per-row Python loops); verifies identical
-  records and reports the speedup.
+  through the production engine vs. a serial **oracle** pass over the same
+  methods (``PowerAwareDp(core="staged")`` for the ``dp-g*`` baselines,
+  ``Rip(dp=<staged>, width_solver=<walked>)`` for RIP); verifies identical
+  records and reports the speedup.  The ``vectorized_*``/``reference_*``
+  keys name the production and oracle sides.
 * **window_cache** — the RIP multi-target sweep with the shared
   :class:`~repro.engine.wincache.WindowCompilationCache` off, cold and
   warm (the repeated-sweep/service scenario: same nets and targets hit a
   warm cache and skip REFINE and the final DP pass entirely);
   verifies bit-identical design outcomes on vs. off.
 * **fused_dp** — the fused expand-traverse-prune DP core + compiled
-  analytical kernels (ISSUE 5) vs. the staged per-level core and scalar
-  analytical oracles, on the full first-contact cold design (tau_min +
-  coarse DP + REFINE + final DP): bit-identical outcomes, >= 2x asserted,
-  plus the pure power-DP states/sec of the fused core.
+  REFINE vs. the staged per-level core and the walked width solver, on the
+  full first-contact cold design (tau_min + coarse DP + REFINE + final
+  DP): bit-identical outcomes, >= 2x asserted, plus the pure power-DP
+  states/sec of the fused core.
 * **persistence** — the design-state layer on disk: a cold disk-backed
   sweep, a *restart* sweep (fresh inserters + fresh cache attached to the
   same directory — REFINE records and frontiers read back from disk) and a
@@ -25,9 +27,9 @@ protocol-store population:
   than the cold run (the ISSUE 3 acceptance bar).
 * **cold_design** — *first-contact* REFINE with the compiled
   per-(net, positions) Elmore evaluator vs. the walked oracle
-  (``RefineConfig.evaluator``, ISSUE 4): the whole cold RIP flow must be
-  bit-identical between the two, and the REFINE stage itself must clear
-  the >= 2x acceptance bar (asserted).
+  (``Rip(width_solver=DualBisectionWidthSolver(evaluator="walked"))``):
+  the whole cold RIP flow must be bit-identical between the two, and the
+  REFINE stage itself must clear the >= 2x acceptance bar (asserted).
 * **tree_dp** — multi-sink routing trees on the compiled engine (ISSUE 8):
   the fused per-edge/merge kernels vs. the Python reference tree DP, on an
   H-tree clock population — bit-identical
@@ -71,10 +73,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.analysis import faults  # noqa: E402
-from repro.core.refine import RefineConfig  # noqa: E402
-from repro.core.rip import Rip, RipConfig  # noqa: E402
+from repro.analytical.width_solver import DualBisectionWidthSolver  # noqa: E402
+from repro.core.rip import Rip  # noqa: E402
 from repro.dp.powerdp import PowerAwareDp  # noqa: E402
-from repro.dp.pruning import PruningConfig  # noqa: E402
 from repro.engine.cache import ProtocolConfig, ProtocolStore  # noqa: E402
 from repro.engine.design import DesignEngine, MethodSpec  # noqa: E402
 from repro.engine.wincache import WindowCompilationCache  # noqa: E402
@@ -97,41 +98,70 @@ def _record_key(record):
 
 
 def bench_kernels(store, protocol, technology, workers):
-    """Vectorized vs. reference pruning kernels on the Table-1-style sweep."""
+    """The production engine vs. a serial oracle pass on the Table-1 sweep."""
     methods = table1_methods(Table1Config(protocol=protocol))
     cases = store.cases(protocol)
-    results = {}
-    records = {}
-    for kernel in ("vectorized", "reference"):
-        pruning = PruningConfig(kernel=kernel)
-        engine = DesignEngine(
-            technology, pruning=pruning, workers=workers if kernel == "vectorized" else 0,
-            store=store,
-        )
-        outcome = engine.design_population(cases, methods)
-        stats = outcome.statistics
-        results[kernel] = stats
-        records[kernel] = [_record_key(r) for r in outcome.records()]
-        print(
-            f"[{kernel:>10}] {stats.wall_clock_seconds:7.2f}s  "
-            f"{stats.states_generated:>12,} states  "
-            f"{stats.states_per_second:>12,.0f} states/s  workers={stats.workers}"
-        )
 
-    matches = records["vectorized"] == records["reference"]
+    engine = DesignEngine(technology, workers=workers, store=store)
+    outcome = engine.design_population(cases, methods)
+    stats = outcome.statistics
+    production_records = [_record_key(r) for r in outcome.records()]
+    print(
+        f"[production] {stats.wall_clock_seconds:7.2f}s  "
+        f"{stats.states_generated:>12,} states  "
+        f"{stats.states_per_second:>12,.0f} states/s  workers={stats.workers}"
+    )
+
+    # The oracle side replays every (net, method, target) serially, with the
+    # record fields the engine derives from each solver's outcome.
+    oracle_records = []
+    started = time.perf_counter()
+    for case in cases:
+        for method in methods:
+            if method.kind == "rip":
+                # RIP on the oracles of both solver layers.
+                rip = Rip(
+                    technology,
+                    method.rip,
+                    dp=PowerAwareDp(technology, pruning=method.rip.pruning, core="staged"),
+                    width_solver=DualBisectionWidthSolver(technology, evaluator="walked"),
+                    window_cache=False,
+                )
+                prepared = rip.prepare(case.net)
+                outcomes = [
+                    (result.feasible, result.total_width if result.feasible else None)
+                    for result in rip.run_prepared_batch(prepared, case.targets)
+                ]
+            else:
+                result = PowerAwareDp(technology, core="staged").run(
+                    case.net, method.library, case.candidates
+                )
+                points = [result.best_for_delay(target) for target in case.targets]
+                outcomes = [
+                    (point is not None, None if point is None else point.total_width)
+                    for point in points
+                ]
+            oracle_records.extend(
+                (technology.name, case.net.name, method.name, round(target, 18), *outcome)
+                for target, outcome in zip(case.targets, outcomes)
+            )
+    oracle_seconds = time.perf_counter() - started
+    print(f"[    oracle] {oracle_seconds:7.2f}s  serial")
+
+    matches = production_records == oracle_records
     speedup = (
-        results["reference"].wall_clock_seconds / results["vectorized"].wall_clock_seconds
-        if results["vectorized"].wall_clock_seconds > 0
+        oracle_seconds / stats.wall_clock_seconds
+        if stats.wall_clock_seconds > 0
         else float("inf")
     )
-    print(f"records identical: {matches}; speedup (reference/vectorized): {speedup:.2f}x")
+    print(f"records identical: {matches}; speedup (oracle/production): {speedup:.2f}x")
     return {
-        "num_designs": results["vectorized"].num_designs,
-        "vectorized_wall_clock_seconds": results["vectorized"].wall_clock_seconds,
-        "reference_wall_clock_seconds": results["reference"].wall_clock_seconds,
+        "num_designs": stats.num_designs,
+        "vectorized_wall_clock_seconds": stats.wall_clock_seconds,
+        "reference_wall_clock_seconds": oracle_seconds,
         "speedup": speedup,
-        "states_generated": results["vectorized"].states_generated,
-        "states_per_second": results["vectorized"].states_per_second,
+        "states_generated": stats.states_generated,
+        "states_per_second": stats.states_per_second,
         "records_identical": matches,
     }
 
@@ -277,8 +307,11 @@ def bench_cold_design(store, protocol, technology):
     cases = store.cases(protocol)
 
     def full_sweep(evaluator):
-        config = RipConfig(refine=RefineConfig(evaluator=evaluator))
-        rips = {case.net.name: Rip(technology, config, window_cache=False) for case in cases}
+        solver = DualBisectionWidthSolver(technology, evaluator=evaluator)
+        rips = {
+            case.net.name: Rip(technology, width_solver=solver, window_cache=False)
+            for case in cases
+        }
         started = time.perf_counter()
         prepared = {
             case.net.name: rips[case.net.name].prepare(case.net) for case in cases
@@ -308,7 +341,9 @@ def bench_cold_design(store, protocol, technology):
             problems.append((case.net, InsertionSolution.from_dp(point.solution), target))
 
     def refine_sweep(evaluator):
-        refine = Refine(technology, config=RefineConfig(evaluator=evaluator))
+        refine = Refine(
+            technology, DualBisectionWidthSolver(technology, evaluator=evaluator)
+        )
         started = time.perf_counter()
         results = [refine.run(net, initial, target) for net, initial, target in problems]
         return time.perf_counter() - started, [
@@ -349,11 +384,11 @@ def bench_fused_dp(store, protocol, technology):
     Measures the *first-contact* cold design of every net — ``tau_min``
     (the delay-optimal DP that anchors every timing target; the protocol
     store caches it precisely because a cold net pays it), the coarse DP,
-    REFINE and the per-target final DP — with the new defaults
-    (``dp_core="fused"``, ``analytical="vectorized"``) against the staged
-    per-level core and scalar analytical loops kept as the selectable
-    oracles.  Outcomes must be bit-for-bit identical and the fused path
-    must clear the >= 2x acceptance bar.  A pure power-DP throughput run
+    REFINE and the per-target final DP — on production (fused DPs,
+    compiled REFINE) against the oracles of both solver layers (the
+    staged DP core and the walked width solver).  Outcomes must be
+    bit-for-bit identical and the production path must clear the >= 2x
+    acceptance bar.  A pure power-DP throughput run
     reports the states/sec jump of the fused core on its own.
     """
     from repro.dp.candidates import uniform_candidates
@@ -363,7 +398,7 @@ def bench_fused_dp(store, protocol, technology):
     cases = store.cases(protocol)
     tau_library = RepeaterLibrary.uniform(10.0, 400.0, 10.0)
 
-    def cold_designs(core, analytical):
+    def cold_designs(core, evaluator):
         rows = []
         started = time.perf_counter()
         for case in cases:
@@ -371,10 +406,12 @@ def bench_fused_dp(store, protocol, technology):
                 case.net, tau_library, uniform_candidates(case.net, 50.0e-6)
             )
             targets = timing_targets(tau_min, count=len(case.targets))
-            config = RipConfig(
-                dp_core=core, refine=RefineConfig(analytical=analytical)
+            rip = Rip(
+                technology,
+                dp=PowerAwareDp(technology, core=core),
+                width_solver=DualBisectionWidthSolver(technology, evaluator=evaluator),
+                window_cache=False,
             )
-            rip = Rip(technology, config, window_cache=False)
             prepared = rip.prepare(case.net)
             for target in targets:
                 result = rip.run_prepared(prepared, target)
@@ -392,10 +429,10 @@ def bench_fused_dp(store, protocol, technology):
                 )
         return time.perf_counter() - started, rows
 
-    staged_seconds, staged_rows = cold_designs("staged", "scalar")
-    fused_seconds, fused_rows = cold_designs("fused", "vectorized")
-    staged_seconds = min(staged_seconds, cold_designs("staged", "scalar")[0])
-    fused_seconds = min(fused_seconds, cold_designs("fused", "vectorized")[0])
+    staged_seconds, staged_rows = cold_designs("staged", "walked")
+    fused_seconds, fused_rows = cold_designs("fused", "compiled")
+    staged_seconds = min(staged_seconds, cold_designs("staged", "walked")[0])
+    fused_seconds = min(fused_seconds, cold_designs("fused", "compiled")[0])
     designs_identical = staged_rows == fused_rows
     speedup = staged_seconds / fused_seconds if fused_seconds > 0 else float("inf")
 
@@ -825,7 +862,7 @@ def run(num_nets, targets_per_net, workers, tech_names, output):
     Path(output).write_text(json.dumps(payload, indent=2), encoding="utf-8")
     print(f"wrote {output}")
     if not kernels["records_identical"]:
-        raise SystemExit("vectorized and reference records diverged")
+        raise SystemExit("production and oracle records diverged")
     if not window_cache["records_identical"]:
         raise SystemExit("window-cache on and off records diverged")
     if not persistence["records_identical"]:

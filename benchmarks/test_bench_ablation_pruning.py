@@ -46,23 +46,3 @@ def test_pruning_strategy(benchmark, workload, strategy):
         f"max_front={result.statistics.max_front_size} "
         f"runtime={result.statistics.runtime_seconds:.3f}s"
     )
-
-
-@pytest.mark.parametrize("kernel", ["vectorized", "reference"])
-def test_pruning_kernel(benchmark, workload, kernel):
-    """Ablation: vectorized engine kernels vs. the reference Python loops."""
-    technology, net, library, candidates = workload
-    dp = PowerAwareDp(technology, pruning=PruningConfig(kernel=kernel))
-
-    result = benchmark.pedantic(lambda: dp.run(net, library, candidates), rounds=3, iterations=1)
-
-    reference = PowerAwareDp(technology, pruning=PruningConfig(kernel="reference")).run(
-        net, library, candidates
-    )
-    assert [(p.delay, p.total_width) for p in result.frontier] == [
-        (p.delay, p.total_width) for p in reference.frontier
-    ]
-    print(
-        f"\n[kernel={kernel}] states={result.statistics.states_generated} "
-        f"runtime={result.statistics.runtime_seconds:.3f}s"
-    )

@@ -4,8 +4,8 @@ Every numerics-affecting knob on a config dataclass must join the dp-context
 fingerprint: a knob that changes which kernel/evaluator/core computes a
 result but not the cache key would let two numerically different runs share
 cache entries.  A field whose name matches the knob set (``kernel``,
-``evaluator``/``elmore_evaluator``, ``core``/``dp_core``, ``analytical``,
-``strategy``) on a ``*Config``/``*Spec`` class must be
+``evaluator``, ``core``, ``analytical``, ``strategy``) on a
+``*Config``/``*Spec`` class must be
 referenced — by any of its aliases, or via a ``dataclasses.fields(<obj>)``
 sweep of the whole class — inside some ``*_fingerprint`` builder.
 
@@ -28,9 +28,9 @@ from repro.analysis.linter import LintModule, LintViolation, Rule, register
 KNOB_GROUPS = [
     frozenset({"kernel"}),
     frozenset({"strategy"}),
-    frozenset({"evaluator", "elmore_evaluator", "refine_evaluator"}),
-    frozenset({"core", "dp_core"}),
-    frozenset({"analytical", "refine_analytical"}),
+    frozenset({"evaluator"}),
+    frozenset({"core"}),
+    frozenset({"analytical"}),
 ]
 
 _CAMEL = re.compile(r"(?<!^)(?=[A-Z])")

@@ -2,18 +2,23 @@
 
 With the environment variable set, the DP drivers
 (:class:`~repro.dp.powerdp.PowerAwareDp`,
-:class:`~repro.dp.vanginneken.DelayOptimalDp`) call into this module at
-every kernel boundary.  All checks are **read-only**
-— sanitize mode is bit-transparent: it never changes a record, only raises
-:class:`SanitizeError` when an engine invariant is broken.
+:class:`~repro.dp.vanginneken.DelayOptimalDp`,
+:class:`~repro.tree.buffering.TreePowerDp`) call into this module at every
+kernel boundary (both cores of the two-pin DPs, the fused tree core).
+All checks are **read-only** — sanitize mode is bit-transparent: it never changes a
+record, only raises :class:`SanitizeError` when an engine invariant is
+broken.
 
 Checks
 ------
-* ``dominance`` — replay the pruning kernels over the surviving level front
-  with zero tolerances and assert nothing further is pruned.  Zero-tolerance
-  replay is implied by the kernels' exclusive-min semantics for every
-  kernel/tolerance configuration, so a violation always means a genuinely
-  dominated state escaped pruning.
+* ``dominance`` — replay the pruning over the surviving level front with
+  zero tolerances and assert nothing further is pruned.  Two-pin fronts
+  replay the vectorized kernels of :mod:`repro.engine.kernels` (the
+  staged oracle core's pruning); tree fronts replay the plain-Python
+  :func:`repro.utils.pareto.prune_pareto_3d` of the tree oracle core.
+  Zero-tolerance replay is implied by the kernels' exclusive-min
+  semantics for every tolerance configuration, so a violation always
+  means a genuinely dominated state escaped pruning.
 * ``nan-guard`` — NaN/inf screening of kernel inputs/outputs (caps, delays,
   widths of every level front and the final delays).
 * ``scratch-overlap`` — the (caps, delays, widths) views a fused kernel

@@ -166,7 +166,7 @@ def location_derivative_arrays(
     and the vectorized :func:`stage_lumped_rc_vectorized`; every elementwise
     expression keeps the scalar path's grouping, so the entries are
     **bit-for-bit** the scalar ``LocationDerivatives`` fields (the scalar
-    walk stays selectable as the oracle — ``RefineConfig.analytical``).
+    walk stays as this function's test oracle).
     """
     require(len(positions) == len(widths), "positions and widths must have the same length")
     n = len(positions)

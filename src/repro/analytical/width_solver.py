@@ -30,13 +30,16 @@ Compiled delay evaluation
 Both solvers spend almost all of their time evaluating the total Elmore
 delay at fixed positions — the feasibility pre-check, the bracket and every
 bisection step each re-walk the net's piece list through
-``buffered_net_delay``.  With ``evaluator="compiled"`` (the default) each
-``solve`` call compiles one
+``buffered_net_delay``.  With ``evaluator="compiled"`` (the default, the
+one production path) each ``solve`` call compiles one
 :class:`~repro.delay.compiled.CompiledElmoreEvaluator` for its
 ``(net, positions)`` pair and every evaluation collapses to a few numpy
 ops on the precomputed per-stage coefficients — **bit-for-bit** equal to
-the walked path, which ``evaluator="walked"`` keeps selectable as the
-equivalence oracle (like the DP's ``kernel="reference"``).
+the walked path.  ``DualBisectionWidthSolver(evaluator="walked")`` is the
+oracle: it forwards every evaluation to :mod:`repro.delay.elmore` and
+:mod:`repro.analytical.derivatives`, the single source of truth.  Only
+tests and benchmarks construct it; a whole RIP flow reaches it through
+``Rip(width_solver=...)``.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analytical.derivatives import delay_width_gradient, stage_lumped_rc
-from repro.delay.compiled import ANALYTICAL_MODES, CompiledElmoreEvaluator
+from repro.delay.compiled import CompiledElmoreEvaluator
 from repro.delay.elmore import buffered_net_delay
 from repro.net.twopin import TwoPinNet
 from repro.tech.technology import Technology
@@ -56,11 +59,6 @@ from repro.utils.validation import require, require_positive
 
 #: Legal delay-evaluation modes of the width solvers.
 EVALUATOR_MODES = ("compiled", "walked")
-
-#: Legal Gauss-Seidel sweep implementations of the dual solver — one mode
-#: for the whole analytical layer, shared with the compiled evaluator's
-#: ``analytical`` switch (``RefineConfig.analytical`` sets both).
-SWEEP_MODES = ANALYTICAL_MODES
 
 
 class _WalkedEvaluation:
@@ -98,7 +96,6 @@ def solve_evaluation(
     net: TwoPinNet,
     positions: Sequence[float],
     evaluator: str,
-    analytical: str = "vectorized",
 ):
     """The per-(net, positions) evaluation backend of one width solve.
 
@@ -107,14 +104,10 @@ def solve_evaluation(
     lumped stage RC and width gradient are all bit-identical numpy
     evaluations of precompiled coefficients; ``"walked"`` returns the
     per-call single-source-of-truth walk (the equivalence oracle).
-    ``analytical`` selects the compiled evaluator's internals: the
-    vectorized stage aggregation and native-float total-delay path
-    (``"vectorized"``, bit-identical), or the legacy per-stage walk kept
-    verbatim as the oracle (``"scalar"``).
     """
     require(evaluator in EVALUATOR_MODES, f"unknown evaluator mode {evaluator!r}")
     if evaluator == "compiled":
-        return CompiledElmoreEvaluator(net, technology, positions, analytical=analytical)
+        return CompiledElmoreEvaluator(net, technology, positions)
     return _WalkedEvaluation(technology, net, positions)
 
 
@@ -162,7 +155,6 @@ class DualBisectionWidthSolver:
         max_inner_sweeps: int = 200,
         inner_tolerance: float = 1.0e-9,
         evaluator: str = "compiled",
-        sweep: str = "vectorized",
     ) -> None:
         self._technology = technology
         repeater = technology.repeater
@@ -171,23 +163,16 @@ class DualBisectionWidthSolver:
         require_positive(self._min_width, "min_width")
         require(self._max_width > self._min_width, "max_width must exceed min_width")
         require(evaluator in EVALUATOR_MODES, f"unknown evaluator mode {evaluator!r}")
-        require(sweep in SWEEP_MODES, f"unknown sweep mode {sweep!r}")
         self._delay_tolerance = delay_tolerance
         self._max_bisection_steps = max_bisection_steps
         self._max_inner_sweeps = max_inner_sweeps
         self._inner_tolerance = inner_tolerance
         self._evaluator = evaluator
-        self._sweep = sweep
 
     @property
     def evaluator(self) -> str:
         """Delay-evaluation mode: ``"compiled"`` or ``"walked"``."""
         return self._evaluator
-
-    @property
-    def sweep(self) -> str:
-        """Gauss-Seidel sweep implementation: ``"vectorized"`` or ``"scalar"``."""
-        return self._sweep
 
     # ------------------------------------------------------------------ #
     def solve(
@@ -208,9 +193,7 @@ class DualBisectionWidthSolver:
         # One evaluation backend per solve: positions are validated (and,
         # in compiled mode, the per-stage coefficients aggregated) once
         # here instead of on every evaluation of the inner loops.
-        evaluation = solve_evaluation(
-            self._technology, net, positions, self._evaluator, self._sweep
-        )
+        evaluation = solve_evaluation(self._technology, net, positions, self._evaluator)
         net_delay = evaluation.net_delay
         if n == 0:
             delay = net_delay([])
@@ -323,76 +306,13 @@ class DualBisectionWidthSolver:
     ) -> np.ndarray:
         """Gauss-Seidel iteration of Eq. (8) at fixed ``lambda``.
 
-        Dispatches on the ``sweep`` mode: the vectorized sweep hoists the
-        per-stage RC coefficient vectors (and the whole Eq. (8) update)
-        out of numpy scalar indexing and is **bit-for-bit** equal to the
-        scalar oracle sweep — see :meth:`_fixed_point_vectorized`.
-        """
-        if self._sweep == "vectorized":
-            return self._fixed_point_vectorized(
-                lam, stage_resistance, stage_capacitance, net, start
-            )
-        return self._fixed_point_scalar(
-            lam, stage_resistance, stage_capacitance, net, start
-        )
-
-    def _fixed_point_scalar(
-        self,
-        lam: float,
-        stage_resistance: np.ndarray,
-        stage_capacitance: np.ndarray,
-        net: TwoPinNet,
-        start: np.ndarray,
-    ) -> np.ndarray:
-        """The original per-element sweep — the vectorized sweep's oracle."""
-        repeater = self._technology.repeater
-        unit_resistance = repeater.unit_resistance
-        unit_cap = repeater.unit_input_capacitance
-        n = len(start)
-        widths = np.clip(start.astype(float).copy(), self._min_width, self._max_width)
-
-        for _ in range(self._max_inner_sweeps):
-            largest_change = 0.0
-            for i in range(n):
-                upstream_width = net.driver_width if i == 0 else widths[i - 1]
-                downstream_width = net.receiver_width if i == n - 1 else widths[i + 1]
-                numerator = unit_resistance * (
-                    stage_capacitance[i + 1] + unit_cap * downstream_width
-                )
-                denominator = (
-                    unit_cap * (stage_resistance[i] + unit_resistance / upstream_width)
-                    + 1.0 / lam
-                )
-                # math.sqrt and np.sqrt are both the correctly-rounded IEEE
-                # square root — identical results, no array dispatch cost.
-                new_width = math.sqrt(numerator / denominator)
-                new_width = min(max(new_width, self._min_width), self._max_width)
-                largest_change = max(largest_change, abs(new_width - widths[i]))
-                widths[i] = new_width
-            if largest_change <= self._inner_tolerance * max(1.0, float(np.max(widths))):
-                break
-        return widths
-
-    def _fixed_point_vectorized(
-        self,
-        lam: float,
-        stage_resistance: np.ndarray,
-        stage_capacitance: np.ndarray,
-        net: TwoPinNet,
-        start: np.ndarray,
-    ) -> np.ndarray:
-        """Whole-vector Eq. (8) sweep on the precomputed RC coefficients.
-
         The per-stage coefficient vectors are hoisted to flat native floats
         once per call and the whole update runs on them — no numpy scalar
         extraction inside the sweep.  The Gauss-Seidel *upstream* chain
         (``w_i`` reads ``w_{i-1}`` of the same sweep) is a true recurrence
-        and stays sequential; downstream reads use the previous iterate,
-        exactly like the scalar oracle.  Every expression keeps the
-        scalar sweep's grouping and IEEE double arithmetic (``1.0 / lam``
-        is hoisted — the division is deterministic), so the result is
-        **bit-for-bit** equal to :meth:`_fixed_point_scalar`
-        (property-tested in ``tests/test_analytical_vectorized.py``).
+        and stays sequential; downstream reads use the previous iterate.
+        The sweep stops when no width moves by more than
+        ``inner_tolerance`` times ``max(1, max width)``.
         """
         repeater = self._technology.repeater
         unit_resistance = repeater.unit_resistance
@@ -450,7 +370,6 @@ class NewtonKktWidthSolver:
         max_iterations: int = 100,
         tolerance: float = 1.0e-10,
         evaluator: str = "compiled",
-        sweep: str = "vectorized",
     ) -> None:
         self._technology = technology
         repeater = technology.repeater
@@ -459,9 +378,7 @@ class NewtonKktWidthSolver:
         self._max_iterations = max_iterations
         self._tolerance = tolerance
         require(evaluator in EVALUATOR_MODES, f"unknown evaluator mode {evaluator!r}")
-        require(sweep in SWEEP_MODES, f"unknown sweep mode {sweep!r}")
         self._evaluator = evaluator
-        self._sweep = sweep
         # The dual solver provides the starting point and the feasibility
         # verdict; Newton then polishes the KKT residuals.
         self._fallback = DualBisectionWidthSolver(
@@ -469,7 +386,6 @@ class NewtonKktWidthSolver:
             min_width=self._min_width,
             max_width=self._max_width,
             evaluator=evaluator,
-            sweep=sweep,
         )
 
     def solve(
@@ -488,9 +404,7 @@ class NewtonKktWidthSolver:
         if n == 0 or not warm.feasible:
             return warm
 
-        evaluation = solve_evaluation(
-            self._technology, net, positions, self._evaluator, self._sweep
-        )
+        evaluation = solve_evaluation(self._technology, net, positions, self._evaluator)
         net_delay = evaluation.net_delay
         width_gradient = evaluation.delay_width_gradient
         repeater = self._technology.repeater

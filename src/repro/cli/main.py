@@ -33,7 +33,6 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from repro.analytical.width_solver import EVALUATOR_MODES, SWEEP_MODES
 from repro.core.rip import Rip, RipConfig
 from repro.core.solution import InsertionSolution
 from repro.core.evaluate import evaluate_solution
@@ -56,7 +55,6 @@ from repro.net.generator import NetGenerationConfig, RandomNetGenerator
 from repro.net.io import load_net, save_net
 from repro.tech.library import RepeaterLibrary
 from repro.tech.nodes import available_nodes, get_node
-from repro.tree.buffering import TREE_CORES
 from repro.utils.units import from_microns, from_nanoseconds, to_nanoseconds
 
 
@@ -176,17 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sweep.add_argument(
-        "--tree-core",
-        choices=TREE_CORES,
-        default="fused",
-        help=(
-            "tree DP core of every 'tree-g*' method: 'fused' (default) runs "
-            "compiled per-edge site levels and vectorized branch merges on "
-            "the scratch arena; 'reference' is the Python oracle — both "
-            "bit-for-bit identical"
-        ),
-    )
-    sweep.add_argument(
         "--htree-levels",
         type=int,
         default=3,
@@ -218,40 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(net population + tau_min) plus, under <dir>/wincache, the "
             "final-DP frontiers and REFINE continuation records, so a "
             "repeated sweep skips REFINE and the final DP outright"
-        ),
-    )
-    sweep.add_argument(
-        "--refine-evaluator",
-        choices=EVALUATOR_MODES,
-        default="compiled",
-        help=(
-            "Elmore evaluation mode of RIP's REFINE width solver: 'compiled' "
-            "(default) evaluates precompiled per-stage coefficients — "
-            "bit-for-bit equal to and ~2x faster than 'walked', the per-call "
-            "wire walk kept as the equivalence oracle"
-        ),
-    )
-    sweep.add_argument(
-        "--dp-core",
-        choices=("fused", "staged"),
-        default="fused",
-        help=(
-            "DP inner-loop implementation of every DP pass: 'fused' (default) "
-            "runs each level as one expand-traverse-prune kernel call on the "
-            "per-worker scratch arena; 'staged' is the per-level oracle — "
-            "both bit-for-bit identical"
-        ),
-    )
-    sweep.add_argument(
-        "--refine-analytical",
-        choices=SWEEP_MODES,
-        default="vectorized",
-        help=(
-            "analytical inner loops of REFINE: 'vectorized' (default) runs "
-            "the width solver's Gauss-Seidel sweep and the move loop's "
-            "location derivatives on compiled coefficient vectors — "
-            "bit-for-bit equal to 'scalar', the legacy loops kept as the "
-            "equivalence oracle"
         ),
     )
     sweep.add_argument(
@@ -595,14 +548,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_methods(
-    spec: str,
-    refine_evaluator: str = "compiled",
-    dp_core: str = "fused",
-    refine_analytical: str = "vectorized",
-    tree_core: str = "fused",
-):
-    from repro.core.refine import RefineConfig
+def _parse_methods(spec: str):
     from repro.engine.design import MethodSpec
 
     methods = []
@@ -611,18 +557,7 @@ def _parse_methods(
         if not entry:
             continue
         if entry == "rip":
-            overrides = {}
-            if dp_core != "fused":
-                overrides["dp_core"] = dp_core
-            refine_overrides = {}
-            if refine_evaluator != "compiled":
-                refine_overrides["evaluator"] = refine_evaluator
-            if refine_analytical != "vectorized":
-                refine_overrides["analytical"] = refine_analytical
-            if refine_overrides:
-                overrides["refine"] = RefineConfig(**refine_overrides)
-            config = RipConfig(**overrides) if overrides else None
-            methods.append(MethodSpec.rip_method(config=config))
+            methods.append(MethodSpec.rip_method())
         elif entry.startswith("dp-g"):
             try:
                 granularity = float(entry[len("dp-g"):])
@@ -630,9 +565,7 @@ def _parse_methods(
                 raise ValueError(f"malformed method {entry!r}; expected dp-g<granularity>")
             methods.append(
                 MethodSpec.dp_baseline(
-                    entry,
-                    RepeaterLibrary.uniform(10.0, 400.0, granularity),
-                    core=dp_core,
+                    entry, RepeaterLibrary.uniform(10.0, 400.0, granularity)
                 )
             )
         elif entry.startswith("tree-g"):
@@ -642,9 +575,7 @@ def _parse_methods(
                 raise ValueError(f"malformed method {entry!r}; expected tree-g<granularity>")
             methods.append(
                 MethodSpec.tree_method(
-                    entry,
-                    RepeaterLibrary.uniform(20.0, 400.0, granularity),
-                    core=tree_core,
+                    entry, RepeaterLibrary.uniform(20.0, 400.0, granularity)
                 )
             )
         else:
@@ -667,13 +598,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "tree-g20" if args.population == "htree" else "rip,dp-g10"
     )
     try:
-        methods = _parse_methods(
-            method_spec,
-            refine_evaluator=args.refine_evaluator,
-            dp_core=args.dp_core,
-            refine_analytical=args.refine_analytical,
-            tree_core=args.tree_core,
-        )
+        methods = _parse_methods(method_spec)
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2

@@ -30,10 +30,11 @@ window cache (:attr:`~repro.engine.wincache.WindowCompilationCache.refine_memo`)
 so it lives as long as the engine, tenant partition or worker process
 that owns the cache, not just one design task.
 
-Most of a computed run's cost is the solver's Elmore evaluations;
-``RefineConfig.evaluator`` selects the compiled per-(net, positions)
-evaluation (default, bit-for-bit equal) or the walked oracle — see
-:mod:`repro.delay.compiled`.
+Most of a computed run's cost is the solver's Elmore evaluations, which
+the default width solver runs on the compiled per-(net, positions)
+evaluator of :mod:`repro.delay.compiled`.  The walked oracle is injected
+as ``Refine(technology, DualBisectionWidthSolver(technology,
+evaluator="walked"))`` and is bit-for-bit equal.
 """
 
 from __future__ import annotations
@@ -45,16 +46,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analytical.derivatives import (
-    location_derivative_arrays,
-    location_derivatives,
-)
-from repro.analytical.width_solver import (
-    EVALUATOR_MODES,
-    SWEEP_MODES,
-    DualBisectionWidthSolver,
-    WidthSolution,
-)
+from repro.analytical.derivatives import location_derivative_arrays
+from repro.analytical.width_solver import DualBisectionWidthSolver, WidthSolution
 from repro.core.solution import InsertionSolution
 from repro.net.twopin import TwoPinNet
 from repro.tech.technology import Technology
@@ -91,27 +84,6 @@ class RefineConfig:
     max_zone_crossing_length:
         Only hop across zones shorter than this (meters); ``None`` means any
         zone may be crossed.
-    evaluator:
-        Elmore evaluation mode of the default width solver:
-        ``"compiled"`` (the default) builds one
-        :class:`~repro.delay.compiled.CompiledElmoreEvaluator` per
-        ``(net, positions)`` solve and evaluates delays as numpy ops on the
-        precompiled per-stage coefficients — bit-for-bit equal to the
-        walked path; ``"walked"`` keeps the per-call
-        ``buffered_net_delay`` walk as the equivalence oracle (like the
-        DP's ``kernel="reference"``).  Ignored when a custom
-        ``width_solver`` is passed to :class:`Refine`.
-    analytical:
-        Implementation of the analytical inner loops: ``"vectorized"``
-        (the default) runs the width solver's Gauss-Seidel sweep on
-        hoisted native-float coefficient vectors and evaluates the move
-        loop's location derivatives through the batched
-        :meth:`~repro.net.twopin.TwoPinNet.unit_rc_at_batch` position
-        lookup — both **bit-for-bit** equal to the scalar loops;
-        ``"scalar"`` keeps those loops as the equivalence oracle (same
-        discipline as ``evaluator``/the DP's ``kernel="reference"``).
-        Ignored for the sweep when a custom ``width_solver`` is passed to
-        :class:`Refine`.
     """
 
     movement_step: float = 50.0e-6
@@ -121,22 +93,12 @@ class RefineConfig:
     keep_best: bool = True
     allow_zone_crossing: bool = True
     max_zone_crossing_length: Optional[float] = None
-    evaluator: str = "compiled"
-    analytical: str = "vectorized"
 
     def __post_init__(self) -> None:
         require_positive(self.movement_step, "movement_step")
         require_positive(self.improvement_threshold, "improvement_threshold")
         require_positive(self.max_iterations, "max_iterations")
         require_positive(self.min_separation, "min_separation")
-        require(
-            self.evaluator in EVALUATOR_MODES,
-            f"unknown evaluator mode {self.evaluator!r}",
-        )
-        require(
-            self.analytical in SWEEP_MODES,
-            f"unknown analytical mode {self.analytical!r}",
-        )
 
 
 @dataclass(frozen=True)
@@ -526,7 +488,13 @@ class RefineMemo:
 
 
 class Refine:
-    """Iterative analytical improvement of a repeater-insertion solution."""
+    """Iterative analytical improvement of a repeater-insertion solution.
+
+    ``width_solver`` defaults to the compiled
+    :class:`~repro.analytical.width_solver.DualBisectionWidthSolver`; any
+    object with its ``solve`` signature may be injected (the walked oracle,
+    or :class:`~repro.analytical.width_solver.NewtonKktWidthSolver`).
+    """
 
     def __init__(
         self,
@@ -536,11 +504,7 @@ class Refine:
     ) -> None:
         self._technology = technology
         self._config = config or RefineConfig()
-        self._solver = width_solver or DualBisectionWidthSolver(
-            technology,
-            evaluator=self._config.evaluator,
-            sweep=self._config.analytical,
-        )
+        self._solver = width_solver or DualBisectionWidthSolver(technology)
 
     @property
     def config(self) -> RefineConfig:
@@ -627,14 +591,9 @@ class Refine:
         config = self._config
         widths = list(width_solution.widths)
         lam = width_solution.lagrange_multiplier
-        if config.analytical == "vectorized":
-            left_derivatives, right_derivatives = location_derivative_arrays(
-                net, self._technology, positions, widths
-            )
-        else:
-            derivatives = location_derivatives(net, self._technology, positions, widths)
-            left_derivatives = [d.left for d in derivatives]
-            right_derivatives = [d.right for d in derivatives]
+        left_derivatives, right_derivatives = location_derivative_arrays(
+            net, self._technology, positions, widths
+        )
 
         moved_any = False
         moves = 0

@@ -129,23 +129,12 @@ class RipConfig:
         Configuration of the embedded REFINE algorithm.  Byte-identical
         repeated REFINE queries are answered from the exact-hit
         :class:`~repro.core.refine.RefineMemo` outright.
-        Its ``evaluator`` flag selects the compiled per-(net, positions)
-        Elmore evaluation of the width solver (default; bit-for-bit equal
-        to the walked oracle) and joins the dp-context fingerprint of the
-        window cache.
     pruning:
         Dominance-pruning configuration of both DP passes.
     enable_fallback:
         When the final DP cannot meet the timing target with ``B``/``S``
         (rare, caused by rounding), merge the coarse library and coarse
         candidates back in and re-run once.
-    dp_core:
-        Inner-loop implementation of both DP passes: ``"fused"`` (the
-        default) runs every level as one fused expand-traverse-prune
-        kernel call on the per-worker scratch arena
-        (:func:`repro.engine.kernels.fused_level`) — bit-for-bit identical
-        frontiers; ``"staged"`` keeps the per-level passes as the fused
-        core's equivalence oracle.
     """
 
     coarse_library: RepeaterLibrary = field(default_factory=RepeaterLibrary.paper_coarse)
@@ -157,7 +146,6 @@ class RipConfig:
     refine: RefineConfig = field(default_factory=RefineConfig)
     pruning: PruningConfig = field(default_factory=PruningConfig)
     enable_fallback: bool = True
-    dp_core: str = "fused"
 
     def __post_init__(self) -> None:
         require_positive(self.coarse_pitch, "coarse_pitch")
@@ -165,10 +153,6 @@ class RipConfig:
         require(self.library_neighbor_steps >= 0, "library_neighbor_steps must be >= 0")
         require(self.location_window >= 0, "location_window must be >= 0")
         require_positive(self.location_pitch, "location_pitch")
-        require(
-            self.dp_core in ("fused", "staged"),
-            f"unknown DP core {self.dp_core!r}",
-        )
 
 
 @dataclass(frozen=True)
@@ -265,6 +249,14 @@ class Rip:
     task still answers a repeated ``(net, target, coarse solution)`` query
     from the records of earlier tasks on the same cache.  Without a window
     cache the inserter keeps a private memo.
+
+    ``dp`` and ``width_solver`` inject the oracles for whole-flow
+    equivalence runs: a :class:`~repro.dp.powerdp.PowerAwareDp` for both DP
+    passes (default: the fused core with ``config.pruning``) and the width
+    solver of REFINE (default: the compiled
+    :class:`~repro.analytical.width_solver.DualBisectionWidthSolver`).
+    Cache keys do not tell an oracle from production, so oracle runs pass
+    ``window_cache=False``.
     """
 
     def __init__(
@@ -273,15 +265,13 @@ class Rip:
         config: Optional[RipConfig] = None,
         *,
         window_cache: "Optional[WindowCompilationCache] | bool" = None,
+        dp: Optional[PowerAwareDp] = None,
+        width_solver: Optional[object] = None,
     ) -> None:
         self._technology = technology
         self._config = config or RipConfig()
-        self._dp = PowerAwareDp(
-            technology,
-            pruning=self._config.pruning,
-            core=self._config.dp_core,
-        )
-        self._refine = Refine(technology, config=self._config.refine)
+        self._dp = dp or PowerAwareDp(technology, pruning=self._config.pruning)
+        self._refine = Refine(technology, width_solver, config=self._config.refine)
         self._window_cache = resolve_window_cache(window_cache)
         self._refine_memo = (
             self._window_cache.refine_memo
@@ -297,13 +287,7 @@ class Rip:
         # candidates); scopes cache entries when the cache is shared across
         # differently-configured inserters.
         self._dp_context = (
-            dp_context_fingerprint(
-                technology,
-                self._config.pruning,
-                elmore_evaluator=self._config.refine.evaluator,
-                dp_core=self._config.dp_core,
-                analytical=self._config.refine.analytical,
-            )
+            dp_context_fingerprint(technology, self._config.pruning)
             if self._window_cache is not None
             else ""
         )

@@ -28,13 +28,15 @@ The walked evaluation in :mod:`repro.delay.elmore` stays the single source
 of truth; this module is a *compilation* of it, not a reimplementation.
 The coefficients are kept in the factored Eq. (1) grouping (never expanded
 into a flat ``A + B/w + C*w`` polynomial, which would re-associate the
-floating-point sums), the wire sums are computed by the exact expressions
-of ``stage_delay_breakdown``/``wire_elmore_delay`` over the same
-``pieces_between`` output, and elementwise numpy double arithmetic is IEEE
-identical to scalar Python float arithmetic — so :meth:`stage_delays` is
-**bit-for-bit** equal to the walked ``stage_delays`` and :meth:`net_delay`
-to the walked ``buffered_net_delay`` (property-tested in
-``tests/test_delay_compiled.py``).
+floating-point sums), :func:`_stage_wire_sums` replays the exact
+arithmetic of ``stage_delay_breakdown``/``wire_elmore_delay`` over the
+``pieces_between`` walk lane-parallel, and elementwise numpy double
+arithmetic is IEEE identical to scalar Python float arithmetic — so
+:meth:`stage_delays` is **bit-for-bit** equal to the walked
+``stage_delays`` and :meth:`net_delay` to the walked
+``buffered_net_delay`` (property-tested in ``tests/test_delay_compiled.py``;
+``DualBisectionWidthSolver(evaluator="walked")`` is the solver-level
+oracle, see ``tests/test_cold_design_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -44,17 +46,11 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.delay.stage import wire_elmore_delay
 from repro.net.twopin import TwoPinNet
 from repro.tech.technology import Technology
-from repro.utils.validation import ValidationError, require
+from repro.utils.validation import ValidationError
 
-__all__ = ["ANALYTICAL_MODES", "CompiledElmoreEvaluator"]
-
-#: Legal analytical-kernel modes: the vectorized stage aggregation and
-#: native-float paths, or the legacy scalar walks kept as the oracle.
-#: (The width solvers' ``SWEEP_MODES`` is this same pair.)
-ANALYTICAL_MODES = ("vectorized", "scalar")
+__all__ = ["CompiledElmoreEvaluator"]
 
 
 def _stage_wire_sums(net: TwoPinNet, cut_points: Sequence[float]):
@@ -211,7 +207,6 @@ class CompiledElmoreEvaluator:
         "_wire_capacitance_list",
         "_wire_resistance_list",
         "_wire_distributed_list",
-        "_analytical",
     )
 
     def __init__(
@@ -219,21 +214,15 @@ class CompiledElmoreEvaluator:
         net: TwoPinNet,
         technology: Technology,
         positions: Sequence[float],
-        *,
-        analytical: str = "vectorized",
     ) -> None:
         from repro.delay.elmore import _check_positions  # single source of truth
 
-        require(
-            analytical in ANALYTICAL_MODES, f"unknown analytical mode {analytical!r}"
-        )
         positions = [float(position) for position in positions]
         _check_positions(net, positions)
         self._net = net
         self._technology = technology
         self._positions = tuple(positions)
         self._num_repeaters = len(positions)
-        self._analytical = analytical
 
         repeater = technology.repeater
         self._unit_resistance = repeater.unit_resistance
@@ -243,40 +232,18 @@ class CompiledElmoreEvaluator:
         self._receiver_width = net.receiver_width
 
         cut_points = [0.0, *positions, net.total_length]
-        stages = len(cut_points) - 1
-        if analytical == "vectorized":
-            wire_resistance, wire_capacitance, wire_distributed = _stage_wire_sums(
-                net, cut_points
-            )
-        else:
-            wire_capacitance = np.empty(stages)
-            wire_resistance = np.empty(stages)
-            wire_distributed = np.empty(stages)
-            for stage in range(stages):
-                pieces = net.pieces_between(cut_points[stage], cut_points[stage + 1])
-                # The exact sums of ``stage_delay_breakdown`` (same generator
-                # expressions, same downstream piece order) and the walked
-                # distributed-delay function itself: the compiled constants
-                # are the walked path's own floats.
-                wire_capacitance[stage] = sum(c * l for _, c, l in pieces)
-                wire_resistance[stage] = sum(r * l for r, _, l in pieces)
-                wire_distributed[stage] = wire_elmore_delay(pieces, 0.0)
+        wire_resistance, wire_capacitance, wire_distributed = _stage_wire_sums(
+            net, cut_points
+        )
         self._wire_capacitance = wire_capacitance
         self._wire_resistance = wire_resistance
         self._wire_distributed = wire_distributed
         # Native-float copies for the scalar fast path of ``net_delay`` —
         # Python float arithmetic is the same IEEE double arithmetic as the
-        # elementwise numpy expressions.  Only used (and only built) in
-        # vectorized-analytical mode; the scalar mode preserves the legacy
-        # evaluation path verbatim.
-        if analytical == "vectorized":
-            self._wire_capacitance_list = wire_capacitance.tolist()
-            self._wire_resistance_list = wire_resistance.tolist()
-            self._wire_distributed_list = wire_distributed.tolist()
-        else:
-            self._wire_capacitance_list = None
-            self._wire_resistance_list = None
-            self._wire_distributed_list = None
+        # elementwise numpy expressions.
+        self._wire_capacitance_list = wire_capacitance.tolist()
+        self._wire_resistance_list = wire_resistance.tolist()
+        self._wire_distributed_list = wire_distributed.tolist()
 
         # The *lumped* stage RC of the analytical layer
         # (``analytical.derivatives.stage_lumped_rc``) aggregates the same
@@ -366,7 +333,7 @@ class CompiledElmoreEvaluator:
         term grouping, so both paths return the same bits.
         """
         n = self._num_repeaters
-        if n <= 32 and self._wire_capacitance_list is not None:
+        if n <= 32:
             values = None
             try:
                 values = [float(width) for width in widths]

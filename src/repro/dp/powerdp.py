@@ -206,14 +206,15 @@ class PowerAwareDp:
     """Lillis-style power-aware repeater-insertion DP on a two-pin net.
 
     ``core`` selects the inner-loop implementation: ``"fused"`` (the
-    default) runs each level as one :func:`repro.engine.kernels.fused_level`
-    call on preallocated, process-shared scratch buffers — **bit-for-bit**
-    identical frontiers, no per-level array allocations; ``"staged"`` keeps
-    the per-level expand/prune passes of PR 1 as the equivalence oracle of
-    the fused core (the ``kernel="reference"`` pruning loops imply the
-    staged core — they are the oracle of both).  ``scratch`` optionally
-    pins a private :class:`~repro.engine.kernels.DpScratch` arena; by
-    default the per-process shared arena is used (one per worker).
+    default, the one production core) runs each level as one
+    :func:`repro.engine.kernels.fused_level` call on preallocated,
+    process-shared scratch buffers, with no per-level array allocations;
+    ``"staged"`` keeps the per-level expand/prune passes on the vectorized
+    pruning kernels as the fused core's oracle — **bit-for-bit** identical
+    frontiers.  Only tests and benchmarks construct the oracle.
+    ``scratch`` optionally pins a private
+    :class:`~repro.engine.kernels.DpScratch` arena; by default the
+    per-process shared arena is used (one per worker).
     """
 
     def __init__(
@@ -227,9 +228,7 @@ class PowerAwareDp:
         require(core in ("fused", "staged"), f"unknown DP core {core!r}")
         self._technology = technology
         self._pruning = pruning or PruningConfig()
-        # The reference pruning kernel is the per-row oracle of both cores;
-        # it has no fused counterpart, so it implies the staged core.
-        self._core = "staged" if self._pruning.kernel == "reference" else core
+        self._core = core
         self._scratch = scratch
 
     @property
@@ -239,7 +238,7 @@ class PowerAwareDp:
 
     @property
     def core(self) -> str:
-        """The effective DP core (``"fused"`` or ``"staged"``)."""
+        """The DP core (``"fused"`` or ``"staged"``)."""
         return self._core
 
     def run(

@@ -16,16 +16,13 @@ Two strategies are provided (selected via :class:`PruningConfig`):
   buckets.  Smaller fronts, slightly more work per pass.  This is the
   default; the ablation benchmark compares the two.
 
-Each strategy exists in two *kernel* implementations (``PruningConfig.kernel``):
-
-* ``"vectorized"`` (default) — the numpy kernels of
-  :mod:`repro.engine.kernels`: segmented ``np.minimum.accumulate`` scans for
-  the per-bucket fronts and blocked pairwise broadcasting for the 3-D pass.
-  No per-state Python loop anywhere.
-* ``"reference"`` — the original per-row Python loops, kept verbatim as the
-  equivalence oracle for the vectorized kernels (see
-  ``tests/test_engine_equivalence.py``) and for the engine ablation
-  benchmark.
+Both run on the numpy kernels of :mod:`repro.engine.kernels` (segmented
+``np.minimum.accumulate`` scans for the per-bucket fronts, blocked pairwise
+broadcasting for the 3-D pass).  These functions are the pruning passes of
+the staged DP core (``PowerAwareDp(core="staged")`` and
+``DelayOptimalDp(core="staged")``), the oracle of the fused core.  Both
+cores apply one tolerance rule: a state is compared against *every*
+earlier state in the sort order, not only the kept ones.
 """
 
 from __future__ import annotations
@@ -52,89 +49,16 @@ class PruningConfig:
         floating-point noise without measurably affecting solution quality.
     width_tolerance:
         Same idea for the width coordinate (units of ``u``).
-    kernel:
-        ``"vectorized"`` (numpy kernels from :mod:`repro.engine.kernels`,
-        the default) or ``"reference"`` (the original per-row Python loops).
     """
 
     strategy: str = "full"
     delay_tolerance: float = 1.0e-14
     width_tolerance: float = 1.0e-9
-    kernel: str = "vectorized"
 
     def __post_init__(self) -> None:
         require(self.strategy in ("full", "bucket"), f"unknown pruning strategy {self.strategy!r}")
         require_non_negative(self.delay_tolerance, "delay_tolerance")
         require_non_negative(self.width_tolerance, "width_tolerance")
-        require(
-            self.kernel in ("vectorized", "reference"),
-            f"unknown pruning kernel {self.kernel!r}",
-        )
-
-
-def _bucket_prune(
-    caps: np.ndarray, delays: np.ndarray, widths: np.ndarray, config: PruningConfig
-) -> np.ndarray:
-    """Reference (per-row Python loop) per-width-bucket 2-D pruning."""
-    # Quantise widths so that float drift does not split buckets.
-    quantum = max(config.width_tolerance, 1e-12)
-    keys = np.round(widths / quantum).astype(np.int64)
-    order = np.lexsort((delays, caps, keys))
-    keys_sorted = keys[order]
-    delays_sorted = delays[order]
-
-    keep = np.zeros(len(order), dtype=bool)
-    start = 0
-    n = len(order)
-    while start < n:
-        end = start
-        while end < n and keys_sorted[end] == keys_sorted[start]:
-            end += 1
-        # Within the bucket the rows are sorted by (cap, delay); a row is kept
-        # iff its delay is strictly below every delay seen at smaller cap.
-        best = np.inf
-        for row in range(start, end):
-            if delays_sorted[row] < best - config.delay_tolerance:
-                keep[row] = True
-                best = delays_sorted[row]
-        start = end
-    return order[keep]
-
-
-def _cross_bucket_prune(
-    caps: np.ndarray, delays: np.ndarray, widths: np.ndarray, config: PruningConfig
-) -> np.ndarray:
-    """Reference (per-row Python loop) exact 3-D dominance pruning."""
-    order = np.lexsort((widths, delays, caps))
-    caps_sorted = caps[order]
-    delays_sorted = delays[order]
-    widths_sorted = widths[order]
-
-    kept_rows: list[int] = []
-    kept_delays: list[float] = []
-    kept_widths: list[float] = []
-    kept_delays_arr = np.empty(0)
-    kept_widths_arr = np.empty(0)
-    dirty = True
-    for row in range(len(order)):
-        if dirty:
-            kept_delays_arr = np.asarray(kept_delays)
-            kept_widths_arr = np.asarray(kept_widths)
-            dirty = False
-        # Earlier rows have cap <= this row's cap (sort order), so dominance
-        # only needs the delay/width check.
-        if kept_rows:
-            dominated = np.any(
-                (kept_delays_arr <= delays_sorted[row] + config.delay_tolerance)
-                & (kept_widths_arr <= widths_sorted[row] + config.width_tolerance)
-            )
-            if dominated:
-                continue
-        kept_rows.append(row)
-        kept_delays.append(delays_sorted[row])
-        kept_widths.append(widths_sorted[row])
-        dirty = True
-    return order[np.asarray(kept_rows, dtype=np.int64)]
 
 
 def prune_states(
@@ -150,28 +74,22 @@ def prune_states(
     """
     if len(caps) == 0:
         return np.empty(0, dtype=np.int64)
-    if config.kernel == "vectorized":
-        survivors = kernels.bucket_prune(
-            caps,
-            delays,
-            widths,
-            delay_tolerance=config.delay_tolerance,
-            width_tolerance=config.width_tolerance,
-        )
-    else:
-        survivors = _bucket_prune(caps, delays, widths, config)
+    survivors = kernels.bucket_prune(
+        caps,
+        delays,
+        widths,
+        delay_tolerance=config.delay_tolerance,
+        width_tolerance=config.width_tolerance,
+    )
     if config.strategy == "bucket" or len(survivors) <= 1:
         return survivors
-    if config.kernel == "vectorized":
-        sub = kernels.cross_bucket_prune(
-            caps[survivors],
-            delays[survivors],
-            widths[survivors],
-            delay_tolerance=config.delay_tolerance,
-            width_tolerance=config.width_tolerance,
-        )
-    else:
-        sub = _cross_bucket_prune(caps[survivors], delays[survivors], widths[survivors], config)
+    sub = kernels.cross_bucket_prune(
+        caps[survivors],
+        delays[survivors],
+        widths[survivors],
+        delay_tolerance=config.delay_tolerance,
+        width_tolerance=config.width_tolerance,
+    )
     return survivors[sub]
 
 
@@ -180,19 +98,8 @@ def prune_two_dimensional(
     delays: np.ndarray,
     *,
     delay_tolerance: float = 1.0e-14,
-    kernel: str = "vectorized",
 ) -> np.ndarray:
     """2-D ``(C, D)`` dominance pruning used by the delay-optimal DP."""
     if len(caps) == 0:
         return np.empty(0, dtype=np.int64)
-    if kernel == "vectorized":
-        return kernels.pareto_two_dimensional(caps, delays, delay_tolerance=delay_tolerance)
-    order = np.lexsort((delays, caps))
-    delays_sorted = delays[order]
-    keep = np.zeros(len(order), dtype=bool)
-    best = np.inf
-    for row in range(len(order)):
-        if delays_sorted[row] < best - delay_tolerance:
-            keep[row] = True
-            best = delays_sorted[row]
-    return order[keep]
+    return kernels.pareto_two_dimensional(caps, delays, delay_tolerance=delay_tolerance)

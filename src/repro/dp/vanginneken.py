@@ -44,9 +44,9 @@ class DelayOptimalDp:
 
     ``core`` follows the power-aware DP: ``"fused"`` (default) runs each
     level as one :func:`repro.engine.kernels.fused_level_2d` call on the
-    process-shared scratch arena (bit-for-bit identical solutions);
-    ``"staged"`` keeps the per-level passes as the oracle.  The
-    ``"reference"`` pruning kernel implies the staged core.
+    process-shared scratch arena; ``"staged"`` keeps the per-level passes
+    on :func:`repro.dp.pruning.prune_two_dimensional` as the oracle
+    (bit-for-bit identical solutions).
     """
 
     def __init__(
@@ -54,15 +54,13 @@ class DelayOptimalDp:
         technology: Technology,
         *,
         delay_tolerance: float = 1.0e-14,
-        pruning_kernel: str = "vectorized",
         core: str = "fused",
         scratch: Optional[DpScratch] = None,
     ) -> None:
         require(core in ("fused", "staged"), f"unknown DP core {core!r}")
         self._technology = technology
         self._delay_tolerance = delay_tolerance
-        self._pruning_kernel = pruning_kernel
-        self._core = "staged" if pruning_kernel == "reference" else core
+        self._core = core
         self._scratch = scratch
 
     @property
@@ -72,7 +70,7 @@ class DelayOptimalDp:
 
     @property
     def core(self) -> str:
-        """The effective DP core (``"fused"`` or ``"staged"``)."""
+        """The DP core (``"fused"`` or ``"staged"``)."""
         return self._core
 
     def run(
@@ -166,10 +164,7 @@ class DelayOptimalDp:
                     new_decisions[lo:hi] = width
 
                 keep = prune_two_dimensional(
-                    new_caps,
-                    new_delays,
-                    delay_tolerance=self._delay_tolerance,
-                    kernel=self._pruning_kernel,
+                    new_caps, new_delays, delay_tolerance=self._delay_tolerance
                 )
                 caps = new_caps[keep]
                 delays = new_delays[keep]

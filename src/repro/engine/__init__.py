@@ -2,8 +2,8 @@
 
 This package sits directly above the net model and below the DP/RIP layers:
 
-* :mod:`repro.engine.kernels` — vectorized dominance-pruning kernels (used
-  by :mod:`repro.dp.pruning` as its default ``"vectorized"`` kernel);
+* :mod:`repro.engine.kernels` — the vectorized dominance-pruning kernels
+  of :mod:`repro.dp.pruning` and the fused DP level kernels;
 * :mod:`repro.engine.compiled` — :class:`CompiledNet`, the precompiled
   per-interval wire representation both DP engines traverse;
 * :mod:`repro.engine.cache` — the shared, disk-cacheable protocol store

@@ -93,13 +93,12 @@ from repro.engine.supervisor import (
 from repro.engine.wincache import (
     CacheStatistics,
     WindowCompilationCache,
-    dp_context_fingerprint,
     net_fingerprint,
     tree_fingerprint,
 )
 from repro.tech.library import RepeaterLibrary
 from repro.tech.technology import Technology
-from repro.tree.buffering import TREE_CORES, TreePowerDp, TreeSolution
+from repro.tree.buffering import TreePowerDp, TreeSolution
 from repro.tree.generator import htree
 from repro.utils.canonical import stable_digest
 from repro.utils.counters import Snapshot
@@ -205,21 +204,15 @@ class MethodSpec:
         RIP).
     rip:
         Optional per-method override of the engine's RIP configuration.
-    core:
-        DP inner-loop implementation of a ``"dp"`` method: ``"fused"``
-        (one kernel call per level on the per-worker scratch arena, the
-        default) or ``"staged"`` (the per-level oracle).
-        Bit-identical; RIP methods carry the switch on :class:`RipConfig`
-        (``dp_core``).  ``"tree"`` methods select the tree DP core instead:
-        ``"fused"`` (default) or ``"reference"`` (the Python oracle) —
-        also bit-identical by contract.
+
+    Every method runs the production cores (fused DPs, compiled REFINE).
+    Their oracles are reached through the class constructors only.
     """
 
     name: str
     kind: str
     library: Optional[RepeaterLibrary] = None
     rip: Optional[RipConfig] = None
-    core: str = "fused"
 
     def __post_init__(self) -> None:
         require(
@@ -231,16 +224,6 @@ class MethodSpec:
                 self.library is not None,
                 f"{self.kind} method {self.name!r} needs a library",
             )
-        if self.kind == "tree":
-            require(
-                self.core in TREE_CORES,
-                f"unknown tree DP core {self.core!r}",
-            )
-        else:
-            require(
-                self.core in ("fused", "staged"),
-                f"unknown DP core {self.core!r}",
-            )
 
     @staticmethod
     def rip_method(name: str = "rip", config: Optional[RipConfig] = None) -> "MethodSpec":
@@ -248,18 +231,14 @@ class MethodSpec:
         return MethodSpec(name=name, kind="rip", rip=config)
 
     @staticmethod
-    def dp_baseline(
-        name: str, library: RepeaterLibrary, *, core: str = "fused"
-    ) -> "MethodSpec":
+    def dp_baseline(name: str, library: RepeaterLibrary) -> "MethodSpec":
         """A baseline power-aware DP with a fixed library."""
-        return MethodSpec(name=name, kind="dp", library=library, core=core)
+        return MethodSpec(name=name, kind="dp", library=library)
 
     @staticmethod
-    def tree_method(
-        name: str, library: RepeaterLibrary, *, core: str = "fused"
-    ) -> "MethodSpec":
+    def tree_method(name: str, library: RepeaterLibrary) -> "MethodSpec":
         """The multi-sink tree DP (applies to tree population entries)."""
-        return MethodSpec(name=name, kind="tree", library=library, core=core)
+        return MethodSpec(name=name, kind="tree", library=library)
 
 
 @dataclass(frozen=True)
@@ -534,11 +513,7 @@ def _design_dp(spec: MethodSpec, task: _Task) -> Tuple[float, int, List[Dict[str
     # process singleton (``kernels.shared_scratch``): within one
     # worker every dp method, net task and RIP pass reuses the
     # same buffers; worker processes each grow their own.
-    dp = PowerAwareDp(
-        task.technology,
-        pruning=task.pruning,
-        core=spec.core,
-    )
+    dp = PowerAwareDp(task.technology, pruning=task.pruning)
     run_started = time.perf_counter()
     result = dp.run(case.net, spec.library, compiled=task.compiled)
     # Each method is charged the (shared) compilation, mirroring the
@@ -560,24 +535,18 @@ def _design_dp(spec: MethodSpec, task: _Task) -> Tuple[float, int, List[Dict[str
     return runtime, result.statistics.states_generated, rows
 
 
-def _tree_dp_context(
-    technology: Technology,
-    pruning: PruningConfig,
-    spec: MethodSpec,
-    case: TreeCase,
-) -> str:
+def _tree_dp_context(technology: Technology, spec: MethodSpec, case: TreeCase) -> str:
     """Cache context of one tree method: everything besides (tree, targets).
 
-    Extends :func:`dp_context_fingerprint` (which carries the ``tree_core``
-    knob) with the method's library and the case's site pitch and state
-    cap, so the memoized tree-solution tier can never serve a result across
-    differently-configured runs.
+    Exactly what :class:`~repro.tree.buffering.TreePowerDp` reads: the
+    technology constants, the method's library and the case's site pitch
+    and state cap.  The tree DP never reads the two-pin
+    :class:`~repro.dp.pruning.PruningConfig`, so engines that differ only
+    in two-pin pruning share tree-solution entries.
     """
     return stable_digest(
         {
-            "dp_context": dp_context_fingerprint(
-                technology, pruning, tree_core=spec.core
-            ),
+            "technology": technology_fingerprint(technology),
             "library": list(spec.library.widths),
             "site_pitch": case.site_pitch,
             "max_states_per_node": case.max_states_per_node,
@@ -594,7 +563,6 @@ def _design_tree(spec: MethodSpec, task: _Task) -> Tuple[float, int, List[Dict[s
         task.technology,
         site_pitch=case.site_pitch,
         max_states_per_node=case.max_states_per_node,
-        core=spec.core,
     )
 
     def run() -> List[TreeSolution]:
@@ -602,7 +570,7 @@ def _design_tree(spec: MethodSpec, task: _Task) -> Tuple[float, int, List[Dict[s
 
     run_started = time.perf_counter()
     if task.window_cache is not None:
-        context = _tree_dp_context(task.technology, task.pruning, spec, case)
+        context = _tree_dp_context(task.technology, spec, case)
         solutions = task.window_cache.tree_solutions(case.tree, context, targets, run)
     else:
         solutions = run()
@@ -792,10 +760,7 @@ def build_htree_cases(
     target_spec = targets or TargetSpec()
     library = tau_min_library or RepeaterLibrary.uniform(20.0, 400.0, 20.0)
     probe_dp = TreePowerDp(
-        technology,
-        site_pitch=site_pitch,
-        max_states_per_node=max_states_per_node,
-        core="fused",
+        technology, site_pitch=site_pitch, max_states_per_node=max_states_per_node
     )
     cases: List[TreeCase] = []
     for index in range(count):
@@ -912,8 +877,8 @@ def _sweep_components(
 
     Covers everything a sweep's records are a function of — population
     fingerprints (net/tree geometry, tau_min, per-case targets), the swept
-    technologies' constants, the method list (libraries, cores, per-method
-    RIP overrides) and the engine's RIP/pruning configuration — so a journal
+    technologies' constants, the method list (libraries, per-method RIP
+    overrides) and the engine's RIP/pruning configuration — so a journal
     can never replay results into a differently-configured sweep.
     """
     technologies: Dict[str, Any] = {}
@@ -949,7 +914,6 @@ def _sweep_components(
                     list(spec.library.widths) if spec.library is not None else None
                 ),
                 "rip": asdict(spec.rip) if spec.rip is not None else None,
-                "core": spec.core,
             }
             for spec in methods
         ],

@@ -1,9 +1,8 @@
 """Vectorized dominance-pruning kernels for the DP engines.
 
-The reference pruning in :mod:`repro.dp.pruning` walks the sorted states with
-per-row Python loops; on realistic fronts (thousands of states per level,
-one pruning pass per candidate location) that loop *is* the DP hot path.
-The kernels here compute the same Pareto fronts with numpy primitives only:
+One pruning pass per candidate location is the DP hot path, so the Pareto
+fronts are computed with numpy primitives only, never a per-state Python
+loop:
 
 * :func:`pareto_two_dimensional` — an exclusive running minimum
   (``np.minimum.accumulate`` shifted by one) over the cap-sorted states;
@@ -14,17 +13,20 @@ The kernels here compute the same Pareto fronts with numpy primitives only:
   via blocked pairwise comparison (survivor fronts are small, so the
   quadratic comparison is a handful of broadcast operations).
 
+These three back the staged DP core (:mod:`repro.dp.pruning`), the oracle of
+the fused core below, and the sanitizer's zero-tolerance replays.
+
 Tolerance semantics
 -------------------
-The reference kernels compare each state against the *previously kept*
-states; the vectorized kernels compare against *all* earlier states in the
-sort order.  The two rules coincide exactly when the tolerances are zero
-(dominance is then transitive) and whenever no two distinct states sit
-within a tolerance band of each other — with the default 10 fs / 1e-9 u
-tolerances the rules agree on every real DP level; the golden-equivalence
-tests in ``tests/test_engine_equivalence.py`` verify this on the full seed
-population.  The property tests additionally check exact kept-set equality
-at zero tolerance.
+The kernels compare each state against *all* earlier states in the sort
+order, not only the previously kept ones.  The two rules coincide exactly
+when the tolerances are zero (dominance is then transitive), which is where
+``tests/test_engine_kernels.py`` checks the kept sets against the
+plain-Python Pareto helpers of :mod:`repro.utils.pareto`.  Inside a
+tolerance band they may differ: at delay tolerance 0.6, three states of
+one bucket at ascending caps with delays ``(3, 2.5, 2)`` keep only the
+first state here, while a kept-only rule would keep the first and the
+last.  The fused core applies the all-earlier rule too.
 
 The fused DP core
 -----------------
@@ -38,11 +40,10 @@ interval, and dominance-prune — into one kernel call that operates on
 preallocated, engine-lifetime scratch buffers (grown geometrically, reused
 across levels, targets and nets within a worker process).  Every arithmetic
 operation keeps the exact expression grouping of the staged path, so fused
-frontiers are **bit-for-bit** identical to the per-level kernels (and hence
-to the ``kernel="reference"`` loops wherever those agree with the
-vectorized kernels); ``tests/test_fused_dp.py`` property-tests the
-equality.  The scratch is per-process state and not thread-safe, like the
-in-memory cache tiers.
+frontiers are **bit-for-bit** identical to the per-level kernels of the
+staged core; ``tests/test_fused_dp.py`` property-tests the equality.  The
+scratch is per-process state and not thread-safe, like the in-memory cache
+tiers.
 """
 
 from __future__ import annotations
@@ -132,11 +133,11 @@ def bucket_prune(
 ) -> np.ndarray:
     """Per-width-bucket 2-D pruning with no per-bucket Python loop.
 
-    Matches the reference ``_bucket_prune``: widths are quantised to
-    ``width_tolerance`` buckets, and inside every bucket the ``(C, D)``
-    Pareto scan of :func:`pareto_two_dimensional` is applied.  All buckets
-    are scanned simultaneously with ``np.minimum.accumulate`` restarted at
-    the group boundaries (segmented doubling scan).
+    Widths are quantised to ``width_tolerance`` buckets, and inside every
+    bucket the ``(C, D)`` Pareto scan of :func:`pareto_two_dimensional` is
+    applied.  All buckets are scanned simultaneously with
+    ``np.minimum.accumulate`` restarted at the group boundaries (segmented
+    doubling scan).
     """
     n = len(caps)
     if n == 0:

@@ -149,27 +149,13 @@ def tree_fingerprint(tree: RoutingTree) -> str:
     return cached
 
 
-def dp_context_fingerprint(
-    technology,
-    pruning,
-    elmore_evaluator: str = "compiled",
-    dp_core: str = "fused",
-    analytical: str = "vectorized",
-    tree_core: str = "fused",
-) -> str:
+def dp_context_fingerprint(technology, pruning) -> str:
     """Fingerprint of everything *besides* (net, library, candidates) a
-    power-aware DP result depends on: the technology constants, the pruning
-    configuration (including the kernel — kernels may legitimately differ
-    inside the pruning tolerance band, so they must not share frontier
-    entries), the Elmore evaluation mode of the surrounding flow (RIP's REFINE step
-    shapes the final-pass library/window; compiled and walked evaluation
-    are bit-identical by contract, but the discipline is that every switch
-    that *could* steer a cached result joins the key), the DP core
-    (fused/staged — bit-identical by contract, same discipline), the
-    analytical-loop mode (vectorized/scalar, ditto) and the tree DP core
-    (reference/fused — bit-identical by contract, and the same
-    context string keys the memoized tree-solution tier, so the knob must
-    join the key)."""
+    power-aware DP result depends on: the technology constants and the
+    pruning configuration.  Every pruning field joins the key, because
+    strategies and tolerances change which states survive.  Oracle cores
+    and evaluators are bit-identical to production and are not product
+    settings, so they do not join it; oracle runs bypass the cache."""
     from repro.engine.cache import technology_fingerprint  # heavy module; defer
 
     return stable_digest(
@@ -179,12 +165,6 @@ def dp_context_fingerprint(
                 field.name: getattr(pruning, field.name)
                 for field in dataclasses.fields(pruning)
             },
-            # The knob values are strings already; coercing through str()
-            # here would mask a non-canonical caller (lint R3 bans it).
-            "elmore_evaluator": elmore_evaluator,
-            "dp_core": dp_core,
-            "analytical": analytical,
-            "tree_core": tree_core,
         }
     )
 
@@ -602,10 +582,9 @@ class WindowCompilationCache:
         :meth:`final_dp_result`).
 
         ``context`` must fingerprint every tree-DP input besides the tree
-        and the targets — :func:`dp_context_fingerprint` with its
-        ``tree_core`` knob, extended by the caller with the site pitch and
-        state cap (:class:`~repro.engine.design.DesignEngine` folds those
-        into the digest).  Tree entries share the frontier layer's LRU
+        and the targets: the technology, the library, the site pitch and
+        the state cap (:class:`~repro.engine.design.DesignEngine` folds
+        those into one digest).  Tree entries share the frontier layer's LRU
         table, hit/miss counters and persistent tier — tree files are
         ``frontier-<digest>.json`` with ``"kind": "tree"`` payloads under
         the same disk budget.

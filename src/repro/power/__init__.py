@@ -6,13 +6,10 @@ from repro.power.model import (
     solution_power_report,
     total_width,
 )
-from repro.power.breakdown import StagePowerBreakdown, per_repeater_breakdown
 
 __all__ = [
     "PowerReport",
     "repeater_power",
     "solution_power_report",
     "total_width",
-    "StagePowerBreakdown",
-    "per_repeater_breakdown",
 ]

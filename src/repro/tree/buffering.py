@@ -8,20 +8,21 @@ worst (maximum) downstream delay.  All sinks share one timing target, so the
 per-state delay coordinate is simply the worst sink delay below that point.
 
 This engine is the substrate for the paper's stated future work (extending
-the hybrid scheme to trees).  Like the two-pin engine it ships a production
-core and an oracle behind one knob:
+the hybrid scheme to trees).  Like the two-pin engine it ships one
+production core and one oracle, selected by the constructor's ``core``:
 
-``core="reference"``
-    The original plain-Python state lists.  Every state carries its
-    assignment tuple; slow but transparent — the oracle the property suites
-    compare against.
-``core="fused"`` (default)
+``core="fused"`` (default; the core ``DesignEngine`` runs)
     Per-edge compiled wire intervals (:class:`repro.engine.compiled.
     CompiledTree`) replayed through the fused scratch kernels of
     :mod:`repro.engine.kernels` (:func:`tree_site_level`,
     :func:`tree_merge_level`, :func:`tree_prune_front`), with back-pointer
     traces instead of per-state assignment tuples.  Bit-for-bit identical
     fronts, solutions and statistics.
+``core="reference"``
+    The original plain-Python state lists, pruned with
+    :func:`repro.utils.pareto.prune_pareto_3d`.  Every state carries its
+    assignment tuple; slow but transparent — the oracle the property suites
+    and ``benchmarks/bench_engine.py`` construct directly.
 
 On a degenerate tree (a chain) both cores produce exactly the same results
 as :class:`repro.dp.PowerAwareDp` — including through the compiled path —

@@ -211,34 +211,6 @@ def test_cache_reports_and_gcs_tiers(tmp_path, capsys):
     assert len(list((cache_dir / "wincache").glob("refine-*.json"))) <= 1
 
 
-def test_sweep_dp_core_and_analytical_switches(tmp_path, capsys):
-    """The oracle switches produce identical records to the defaults."""
-    args = ["sweep", "--nets", "1", "--targets", "2", "--json"]
-    default_json = tmp_path / "default.json"
-    oracle_json = tmp_path / "oracle.json"
-    assert main(args + [str(default_json)]) == 0
-    assert (
-        main(
-            args
-            + [
-                str(oracle_json),
-                "--dp-core",
-                "staged",
-                "--refine-analytical",
-                "scalar",
-            ]
-        )
-        == 0
-    )
-    def rows(path):
-        return [
-            {key: value for key, value in row.items() if key != "runtime_seconds"}
-            for row in json.loads(path.read_text())["records"]
-        ]
-
-    assert rows(default_json) == rows(oracle_json)
-
-
 def test_sweep_exit_codes_reflect_failures(tmp_path, capsys, monkeypatch):
     """A failed net turns the sweep exit code nonzero (unless suppressed)."""
     from repro.engine import design as design_module

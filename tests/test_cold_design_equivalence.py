@@ -1,12 +1,12 @@
 """End-to-end cold-design equivalence: compiled vs. walked Elmore evaluation.
 
 Runs the full RIP flow (coarse DP -> REFINE -> final DP) over a slice of the
-seed population with ``RefineConfig.evaluator`` set to ``"compiled"`` and to
-``"walked"`` and asserts the outcomes are **identical** — feasibility
-verdicts, refined positions/widths, reported delays and the final discrete
-solutions (same shape as ``test_engine_equivalence.py`` for the DP kernels).
-The compiled evaluator is bit-exact by contract, so everything is compared
-with ``==``.
+seed population on production and with the walked width solver injected as
+``Rip(width_solver=DualBisectionWidthSolver(evaluator="walked"))``, and
+asserts the outcomes are **identical** — feasibility verdicts, refined
+positions/widths, reported delays and the final discrete solutions.  The
+compiled evaluator is bit-exact by contract, so everything is compared with
+``==``.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analytical.width_solver import DualBisectionWidthSolver
-from repro.core.refine import RefineConfig
-from repro.core.rip import Rip, RipConfig
+from repro.core.rip import Rip
 from repro.delay.elmore import unbuffered_net_delay
 from repro.engine.cache import ProtocolConfig, ProtocolStore
 
@@ -30,10 +29,10 @@ def population():
 
 
 def _sweep(tech, cases, evaluator):
-    config = RipConfig(refine=RefineConfig(evaluator=evaluator))
+    solver = DualBisectionWidthSolver(tech, evaluator=evaluator)
     rows = []
     for case in cases:
-        rip = Rip(tech, config, window_cache=False)
+        rip = Rip(tech, width_solver=solver, window_cache=False)
         prepared = rip.prepare(case.net)
         for target in case.targets:
             result = rip.run_prepared(prepared, target)
@@ -106,5 +105,3 @@ def test_evaluator_modes_validated(tech):
 
     with pytest.raises(ValidationError):
         DualBisectionWidthSolver(tech, evaluator="vectorized")
-    with pytest.raises(ValidationError):
-        RefineConfig(evaluator="fast")

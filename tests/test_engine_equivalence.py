@@ -1,10 +1,9 @@
-"""Golden equivalence: vectorized kernels vs. the reference path, seed population.
+"""Golden equivalence: ``tau_min`` of the fused delay DP vs. its staged oracle.
 
-The vectorized pruning kernels and the compiled-net traversal must
-reproduce the legacy per-net results *bit-for-bit* on the experimental seed
-population: identical power-DP frontiers (delays, widths and the actual
-repeater assignments), identical ``tau_min``, and Table-1 rows identical
-through the engine and through direct per-net computation.
+``tau_min`` anchors every timing target of the experiments, so the fused
+delay-optimal DP must reproduce the staged per-level core bit-for-bit on
+the experimental seed population (seed 2005), and both must equal the
+``tau_min`` the protocol store recorded for each net.
 """
 
 from __future__ import annotations
@@ -12,16 +11,10 @@ from __future__ import annotations
 import pytest
 
 from repro.dp.candidates import uniform_candidates
-from repro.dp.powerdp import PowerAwareDp
-from repro.dp.pruning import PruningConfig
 from repro.dp.vanginneken import DelayOptimalDp
 from repro.engine.cache import ProtocolConfig, ProtocolStore
-from repro.experiments.table1 import Table1Config, run_table1
-from repro.tech.library import RepeaterLibrary
 from repro.tech.nodes import NODE_180NM
 
-# A slice of the paper's seed population (seed 2005), kept small so the
-# reference kernels (Python loops) stay affordable in the tier-1 suite.
 GOLDEN = ProtocolConfig(num_nets=4, targets_per_net=6, seed=2005)
 
 
@@ -30,65 +23,13 @@ def golden_cases():
     return ProtocolStore().cases(GOLDEN)
 
 
-def _frontier_signature(result):
-    return [
-        (point.delay, point.total_width, point.solution.positions, point.solution.widths)
-        for point in result.frontier
-    ]
-
-
-@pytest.mark.parametrize("strategy", ["full", "bucket"])
-def test_power_dp_frontiers_bitwise_equal(golden_cases, strategy):
-    library = RepeaterLibrary.uniform_count(10.0, 40.0, 10)
-    vectorized = PowerAwareDp(
-        NODE_180NM, pruning=PruningConfig(strategy=strategy, kernel="vectorized")
-    )
-    reference = PowerAwareDp(
-        NODE_180NM, pruning=PruningConfig(strategy=strategy, kernel="reference")
-    )
-    for case in golden_cases:
-        fast = vectorized.run(case.net, library, case.candidates)
-        slow = reference.run(case.net, library, case.candidates)
-        assert _frontier_signature(fast) == _frontier_signature(slow)
-
-
 def test_tau_min_bitwise_equal(golden_cases):
     library = GOLDEN.tau_min_library
-    # The reference-kernel delay DP with the rich tau_min library is slow;
-    # two nets keep the check honest without dominating the suite.
-    for case in golden_cases[:2]:
+    for case in golden_cases:
         candidates = uniform_candidates(case.net, GOLDEN.tau_min_pitch)
         fast = DelayOptimalDp(NODE_180NM).minimum_delay(case.net, library, candidates)
-        slow = DelayOptimalDp(NODE_180NM, pruning_kernel="reference").minimum_delay(
+        slow = DelayOptimalDp(NODE_180NM, core="staged").minimum_delay(
             case.net, library, candidates
         )
         assert fast == slow
         assert fast == case.tau_min
-
-
-def test_table1_engine_matches_reference_kernels(golden_cases):
-    """The full Table 1 pipeline agrees between kernels, row for row."""
-    def rows(kernel):
-        from repro.core.rip import RipConfig
-
-        config = Table1Config(
-            protocol=GOLDEN,
-            baseline_granularities=(20.0, 40.0),
-            rip=RipConfig(pruning=PruningConfig(kernel=kernel)),
-        )
-        from repro.engine.design import DesignEngine
-
-        engine = DesignEngine(
-            NODE_180NM,
-            rip_config=config.rip,
-            pruning=config.rip.pruning,
-            store=ProtocolStore(),
-        )
-        result = run_table1(config, engine=engine)
-        return [
-            (row.net_name, row.tau_min, row.delta_max, row.delta_mean, row.violations,
-             row.rip_violations)
-            for row in result.rows
-        ]
-
-    assert rows("vectorized") == rows("reference")

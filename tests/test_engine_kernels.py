@@ -1,12 +1,12 @@
-"""Property tests: vectorized pruning kernels against the reference loops.
+"""Property tests: vectorized pruning kernels against independent truth.
 
-At zero tolerance the vectorized kernels must reproduce the reference
-Python-loop implementations *exactly* (dominance is transitive there, so
-the "compare against kept states" and "compare against all earlier states"
-formulations coincide).  At the default tolerances the kernels may prune a
-state the reference keeps only when two states sit within a tolerance band
-of each other; the quality property (every input state is dominated-within-
-tolerance by a survivor) must hold regardless.
+At zero tolerance the vectorized kernels must reproduce the plain-Python
+Pareto helpers of :mod:`repro.utils.pareto` *exactly*: dominance is
+transitive there, so the kernels' "compare against all earlier states"
+rule and the helpers' "compare against kept states" rule coincide.  The
+helpers also back the reference tree DP and the sanitizer's tree replay.
+At the default tolerances the quality property (every input state is
+dominated-within-tolerance by a survivor) must hold regardless.
 """
 
 from __future__ import annotations
@@ -14,14 +14,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.dp.pruning import (
-    PruningConfig,
-    _bucket_prune,
-    _cross_bucket_prune,
-    prune_states,
-    prune_two_dimensional,
-)
+from repro.dp.pruning import PruningConfig, prune_states, prune_two_dimensional
 from repro.engine import kernels
+from repro.utils.pareto import prune_pareto_2d, prune_pareto_3d
 
 
 def _random_states(rng, count, buckets=6):
@@ -61,37 +56,54 @@ def test_segmented_exclusive_min_empty():
 # --------------------------------------------------------------------------- #
 # exact equality at zero tolerance
 # --------------------------------------------------------------------------- #
+def _pareto_2d_rows(caps, delays, rows):
+    """Kept rows of the plain-Python 2-D front over ``rows``."""
+    points = [(float(caps[row]), float(delays[row]), int(row)) for row in rows]
+    return [point[2] for point in prune_pareto_2d(points)]
+
+
+def _pareto_3d_rows(caps, delays, widths):
+    """Kept rows of the plain-Python 3-D front."""
+    points = [
+        (float(caps[row]), float(delays[row]), float(widths[row]), row)
+        for row in range(len(caps))
+    ]
+    return [point[3] for point in prune_pareto_3d(points)]
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_bucket_prune_matches_reference_zero_tolerance(seed):
     rng = np.random.default_rng(seed)
     caps, delays, widths = _random_states(rng, int(rng.integers(1, 300)))
-    config = PruningConfig(delay_tolerance=0.0, width_tolerance=0.0)
-    reference = _bucket_prune(caps, delays, widths, config)
+    # The kernel's bucket key at zero width tolerance.
+    keys = np.round(widths / 1e-12).astype(np.int64)
+    reference = []
+    for key in np.unique(keys):
+        reference += _pareto_2d_rows(caps, delays, np.flatnonzero(keys == key))
     vectorized = kernels.bucket_prune(
         caps, delays, widths, delay_tolerance=0.0, width_tolerance=0.0
     )
-    assert sorted(reference.tolist()) == sorted(vectorized.tolist())
+    assert sorted(reference) == sorted(vectorized.tolist())
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_cross_bucket_prune_matches_reference_zero_tolerance(seed):
     rng = np.random.default_rng(100 + seed)
     caps, delays, widths = _random_states(rng, int(rng.integers(1, 200)))
-    config = PruningConfig(delay_tolerance=0.0, width_tolerance=0.0)
-    reference = _cross_bucket_prune(caps, delays, widths, config)
+    reference = _pareto_3d_rows(caps, delays, widths)
     vectorized = kernels.cross_bucket_prune(
         caps, delays, widths, delay_tolerance=0.0, width_tolerance=0.0
     )
-    assert sorted(reference.tolist()) == sorted(vectorized.tolist())
+    assert sorted(reference) == sorted(vectorized.tolist())
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_pareto_2d_matches_reference_zero_tolerance(seed):
     rng = np.random.default_rng(200 + seed)
     caps, delays, _ = _random_states(rng, int(rng.integers(1, 300)))
-    reference = prune_two_dimensional(caps, delays, delay_tolerance=0.0, kernel="reference")
-    vectorized = prune_two_dimensional(caps, delays, delay_tolerance=0.0, kernel="vectorized")
-    assert sorted(reference.tolist()) == sorted(vectorized.tolist())
+    reference = _pareto_2d_rows(caps, delays, range(len(caps)))
+    vectorized = kernels.pareto_two_dimensional(caps, delays, delay_tolerance=0.0)
+    assert sorted(reference) == sorted(vectorized.tolist())
 
 
 def test_cross_block_boundaries():
@@ -101,12 +113,11 @@ def test_cross_block_boundaries():
     caps = rng.uniform(0.0, 1.0, size=n)
     delays = rng.uniform(0.0, 1.0, size=n)
     widths = rng.uniform(0.0, 1.0, size=n)
-    config = PruningConfig(delay_tolerance=0.0, width_tolerance=0.0)
-    reference = _cross_bucket_prune(caps, delays, widths, config)
+    reference = _pareto_3d_rows(caps, delays, widths)
     vectorized = kernels.cross_bucket_prune(
         caps, delays, widths, delay_tolerance=0.0, width_tolerance=0.0
     )
-    assert sorted(reference.tolist()) == sorted(vectorized.tolist())
+    assert sorted(reference) == sorted(vectorized.tolist())
 
 
 # --------------------------------------------------------------------------- #
@@ -117,7 +128,7 @@ def test_cross_block_boundaries():
 def test_prune_states_every_loser_is_dominated(strategy, seed):
     rng = np.random.default_rng(300 + seed)
     caps, delays, widths = _random_states(rng, 250)
-    config = PruningConfig(strategy=strategy, kernel="vectorized")
+    config = PruningConfig(strategy=strategy)
     kept = prune_states(caps, delays, widths, config)
     assert len(kept) > 0
     kept_set = set(kept.tolist())
@@ -142,23 +153,15 @@ def test_prune_states_every_loser_is_dominated(strategy, seed):
         assert dominators[list(kept_set)].any(), f"state {index} dropped without dominator"
 
 
-@pytest.mark.parametrize("kernel", ["vectorized", "reference"])
-def test_prune_states_keeps_unique_minima(kernel):
+def test_prune_states_keeps_unique_minima():
     caps = np.array([1.0, 2.0, 3.0])
     delays = np.array([3.0, 2.0, 1.0])
     widths = np.array([1.0, 2.0, 3.0])
-    kept = set(prune_states(caps, delays, widths, PruningConfig(kernel=kernel)).tolist())
+    kept = set(prune_states(caps, delays, widths, PruningConfig()).tolist())
     assert kept == {0, 1, 2}
 
 
 def test_prune_states_vectorized_empty():
     empty = np.empty(0)
-    assert len(prune_states(empty, empty, empty, PruningConfig(kernel="vectorized"))) == 0
-    assert len(prune_two_dimensional(empty, empty, kernel="vectorized")) == 0
-
-
-def test_pruning_config_rejects_unknown_kernel():
-    from repro.utils.validation import ValidationError
-
-    with pytest.raises(ValidationError):
-        PruningConfig(kernel="gpu")
+    assert len(prune_states(empty, empty, empty, PruningConfig())) == 0
+    assert len(prune_two_dimensional(empty, empty)) == 0

@@ -48,7 +48,7 @@ def test_dp_context_distinguishes_technology_and_pruning(tech):
     base = dp_context_fingerprint(tech, PruningConfig())
     assert base == dp_context_fingerprint(tech, PruningConfig())
     assert base != dp_context_fingerprint(NODE_90NM, PruningConfig())
-    assert base != dp_context_fingerprint(tech, PruningConfig(kernel="reference"))
+    assert base != dp_context_fingerprint(tech, PruningConfig(strategy="bucket"))
 
 
 # --------------------------------------------------------------------------- #
@@ -174,11 +174,11 @@ def test_rip_shared_cache_across_differing_configs_stays_correct(tech, tiny_case
 
     case = tiny_cases[0]
     shared = WindowCompilationCache()
-    config_ref = RipConfig(pruning=PruningConfig(kernel="reference"))
+    config_bucket = RipConfig(pruning=PruningConfig(strategy="bucket"))
     rip_a = Rip(tech, window_cache=shared)
-    rip_b = Rip(tech, config_ref, window_cache=shared)
+    rip_b = Rip(tech, config_bucket, window_cache=shared)
     solo_a = Rip(tech, window_cache=False)
-    solo_b = Rip(tech, config_ref, window_cache=False)
+    solo_b = Rip(tech, config_bucket, window_cache=False)
     target = case.targets[1]
     assert _outcome_key(
         rip_a.run_prepared(rip_a.prepare(case.net), target)

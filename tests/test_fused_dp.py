@@ -1,20 +1,20 @@
-"""Property suite for the fused expand-traverse-prune DP core (ISSUE 5).
+"""Property suite for the fused expand-traverse-prune DP core.
 
 The fused core must produce **bit-for-bit** the frontiers of the staged
-per-level path (its direct oracle) across seeded nets, libraries, pruning
-strategies and tolerances — including the degenerate shapes: no candidate
-locations, a single candidate, zero tolerances, and huge tolerances that
-prune every level down to a single state.  Against ``kernel="reference"``
-the fused core inherits the staged/vectorized tolerance semantics, so the
-golden comparison mirrors ``tests/test_engine_equivalence.py``.
+per-level core on the vectorized pruning kernels (its one oracle) across
+seeded nets, libraries, pruning strategies and tolerances — including the
+degenerate shapes: no candidate locations, a single candidate, zero
+tolerances, and huge tolerances that prune every level down to a single
+state.  The whole RIP flow is checked against ``Rip(dp=<staged>,
+width_solver=<walked>)``, the oracles of both of its solver layers.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.core.rip import Rip, RipConfig
+from repro.analytical.width_solver import DualBisectionWidthSolver
+from repro.core.rip import Rip
 from repro.dp.powerdp import PowerAwareDp
 from repro.dp.pruning import PruningConfig
 from repro.dp.vanginneken import DelayOptimalDp
@@ -22,6 +22,8 @@ from repro.engine.cache import ProtocolConfig, ProtocolStore
 from repro.engine.kernels import DpScratch, shared_scratch
 from repro.tech.library import RepeaterLibrary
 from repro.tech.nodes import NODE_180NM
+from repro.tree.buffering import TreePowerDp
+from repro.utils.validation import ValidationError
 
 from tests.conftest import build_mixed_net, build_uniform_net
 
@@ -118,27 +120,6 @@ def test_power_dp_fused_single_width_library(tech):
     ) == _frontier_signature(staged.run(net, library, candidates))
 
 
-def test_power_dp_reference_kernel_forces_staged_core(tech):
-    """The reference pruning loops are the oracle of both cores."""
-    dp = PowerAwareDp(
-        tech, pruning=PruningConfig(kernel="reference"), core="fused"
-    )
-    assert dp.core == "staged"
-    with pytest.raises(Exception):
-        PowerAwareDp(tech, core="nonsense")
-
-
-def test_power_dp_fused_vs_reference_golden(cases):
-    """Golden equivalence against the per-row reference loops."""
-    library = RepeaterLibrary.uniform_count(10.0, 40.0, 10)
-    fused = PowerAwareDp(NODE_180NM, core="fused")
-    reference = PowerAwareDp(NODE_180NM, pruning=PruningConfig(kernel="reference"))
-    for case in cases[:2]:
-        assert _frontier_signature(
-            fused.run(case.net, library, case.candidates)
-        ) == _frontier_signature(reference.run(case.net, library, case.candidates))
-
-
 def test_delay_optimal_fused_bitwise_equal(cases):
     library = RepeaterLibrary.uniform(10.0, 400.0, 10.0)
     fused = DelayOptimalDp(NODE_180NM, core="fused")
@@ -155,16 +136,16 @@ def test_delay_optimal_fused_bitwise_equal(cases):
         )
 
 
-def test_delay_optimal_fused_reference_kernel(tech):
-    net = build_uniform_net(tech)
-    library = RepeaterLibrary.uniform(40.0, 400.0, 40.0)
-    candidates = [i * 400.0e-6 for i in range(1, 25)]
-    fused = DelayOptimalDp(tech, core="fused")
-    reference = DelayOptimalDp(tech, pruning_kernel="reference")
-    assert reference.core == "staged"
-    fast = fused.run(net, library, candidates)
-    slow = reference.run(net, library, candidates)
-    assert (fast.delay, fast.positions, fast.widths) == (slow.delay, slow.positions, slow.widths)
+def test_dp_cores_reject_unknown_core(tech):
+    """Only the production core and the one oracle are constructible."""
+    for core in ("nonsense", "batched", "reference"):
+        with pytest.raises(ValidationError):
+            PowerAwareDp(tech, core=core)
+        with pytest.raises(ValidationError):
+            DelayOptimalDp(tech, core=core)
+    for core in ("nonsense", "batched", "staged"):
+        with pytest.raises(ValidationError):
+            TreePowerDp(tech, core=core)
 
 
 def test_scratch_reuse_across_nets_and_libraries(cases):
@@ -189,11 +170,11 @@ def test_process_shared_scratch_is_a_singleton():
 
 
 def test_rip_flow_fused_bitwise_equal(cases):
-    """The whole hybrid flow is identical under dp_core=fused/staged."""
+    """The whole hybrid flow is identical on production and on the oracles
+    of both solver layers (staged DP, walked REFINE width solver)."""
 
-    def design(core):
+    def design(rip):
         rows = []
-        rip = Rip(NODE_180NM, RipConfig(dp_core=core), window_cache=False)
         for case in cases[:2]:
             prepared = rip.prepare(case.net)
             for target in case.targets:
@@ -212,4 +193,10 @@ def test_rip_flow_fused_bitwise_equal(cases):
                 )
         return rows
 
-    assert design("fused") == design("staged")
+    oracle = Rip(
+        NODE_180NM,
+        dp=PowerAwareDp(NODE_180NM, core="staged"),
+        width_solver=DualBisectionWidthSolver(NODE_180NM, evaluator="walked"),
+        window_cache=False,
+    )
+    assert design(Rip(NODE_180NM, window_cache=False)) == design(oracle)

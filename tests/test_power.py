@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.power.breakdown import per_repeater_breakdown
 from repro.power.model import repeater_power, solution_power_report, total_width
 from repro.utils.validation import ValidationError
 
@@ -40,17 +39,3 @@ def test_power_report_empty_solution(tech):
     report = solution_power_report(tech, [])
     assert report.total_width == 0.0
     assert report.repeater_power == 0.0
-
-
-def test_per_repeater_breakdown_sums_to_total(tech):
-    widths = [30.0, 70.0, 200.0]
-    breakdown = per_repeater_breakdown(tech, widths)
-    assert len(breakdown) == 3
-    assert sum(item.total for item in breakdown) == pytest.approx(repeater_power(tech, widths))
-    assert [item.index for item in breakdown] == [0, 1, 2]
-
-
-def test_per_repeater_breakdown_scales_with_width(tech):
-    small, large = per_repeater_breakdown(tech, [10.0, 100.0])
-    assert large.dynamic_power == pytest.approx(10.0 * small.dynamic_power)
-    assert large.leakage_power == pytest.approx(10.0 * small.leakage_power)

@@ -260,7 +260,6 @@ def test_refine_context_distinguishes_technology_and_config(tech):
     base = refine_context_fingerprint(tech, RefineConfig())
     assert base == refine_context_fingerprint(tech, RefineConfig())
     assert base != refine_context_fingerprint(NODE_90NM, RefineConfig())
-    assert base != refine_context_fingerprint(tech, RefineConfig(evaluator="walked"))
     assert base != refine_context_fingerprint(tech, RefineConfig(movement_step=25e-6))
 
 

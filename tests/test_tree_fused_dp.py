@@ -278,27 +278,64 @@ def _record_signature(result):
 
 
 def test_design_engine_htree_population_cores_identical(tech):
+    """The engine's tree sweep (fused core) equals direct runs of the
+    reference tree DP, record for record, with the same DP state count."""
     cases = build_htree_cases(tech, count=2, levels=2)
     library = RepeaterLibrary.uniform(40.0, 240.0, 40.0)
-    methods = [
-        MethodSpec.tree_method("tree-ref", library, core="reference"),
-        MethodSpec.tree_method("tree-fused", library, core="fused"),
-    ]
     engine = DesignEngine(tech, window_cache=False)
     try:
-        outcome = engine.design_population(cases, methods)
+        outcome = engine.design_population(
+            cases, [MethodSpec.tree_method("tree", library)]
+        )
     finally:
         engine.close()
     assert [net.population_class for net in outcome.nets] == ["tree", "tree"]
-    for net in outcome.nets:
+    for case, net in zip(cases, outcome.nets):
         assert not net.failed
-        by_method = {}
-        for record in net.records:
-            by_method.setdefault(record.method, []).append(
-                (round(record.target, 18), record.feasible, record.total_width,
-                 record.delay, record.num_repeaters)
+        reference = TreePowerDp(
+            tech,
+            site_pitch=case.site_pitch,
+            max_states_per_node=case.max_states_per_node,
+            core="reference",
+        ).run_many(case.tree, library, case.targets)
+        assert [
+            (r.target, r.feasible, r.total_width, r.delay, r.num_repeaters)
+            for r in net.records
+        ] == [
+            (
+                target,
+                solution.feasible,
+                solution.total_width if solution.feasible else None,
+                solution.worst_delay if solution.feasible else None,
+                len(solution.assignments),
             )
-        assert by_method["tree-fused"] == by_method["tree-ref"]
+            for target, solution in zip(case.targets, reference)
+        ]
+        assert net.states_generated == reference[0].statistics.states_generated
+
+
+def test_tree_memo_is_shared_across_two_pin_pruning_configs(tech, tmp_path):
+    """The tree DP never reads two-pin pruning, so engines that differ only
+    there answer each other's tree designs from the shared disk tier."""
+    from repro.dp.pruning import PruningConfig
+
+    cases = build_htree_cases(tech, count=2, levels=2)
+    methods = [MethodSpec.tree_method("tree", RepeaterLibrary.uniform(40.0, 240.0, 40.0))]
+
+    def sweep(pruning):
+        engine = DesignEngine(tech, pruning=pruning, window_cache_dir=str(tmp_path))
+        try:
+            return engine.design_population(cases, methods)
+        finally:
+            engine.close()
+
+    first = sweep(PruningConfig(strategy="bucket"))
+    second = sweep(PruningConfig())
+    assert second.statistics.window_cache.disk_hits == len(cases)
+    assert second.statistics.states_generated == first.statistics.states_generated
+    assert [_record_signature(net) for net in second.nets] == [
+        _record_signature(net) for net in first.nets
+    ]
 
 
 def test_design_engine_htree_parallel_matches_serial(tech):
@@ -306,7 +343,7 @@ def test_design_engine_htree_parallel_matches_serial(tech):
     the serial run."""
     cases = build_htree_cases(tech, count=2, levels=2)
     library = RepeaterLibrary.uniform(40.0, 240.0, 40.0)
-    methods = [MethodSpec.tree_method("tree-fused", library, core="fused")]
+    methods = [MethodSpec.tree_method("tree-fused", library)]
 
     def run(workers):
         engine = DesignEngine(tech, workers=workers, window_cache=False)
