@@ -1,6 +1,6 @@
 """Smoke benchmark of the batch DesignEngine — writes ``BENCH_engine.json``.
 
-Nine sections, all but ``tree_dp`` and ``fault_recovery`` on the shared
+Ten sections, all but ``tree_dp`` and ``fault_recovery`` on the shared
 protocol-store population:
 
 * **kernels** — the Table-1-style sweep (RIP + three size-10 baselines)
@@ -30,6 +30,11 @@ protocol-store population:
   (``Rip(width_solver=DualBisectionWidthSolver(evaluator="walked"))``):
   the whole cold RIP flow must be bit-identical between the two, and the
   REFINE stage itself must clear the >= 2x acceptance bar (asserted).
+* **baseline_bound** — the baseline power DP bounded by a sub-library
+  incumbent (``PowerAwareDp.run_many``) against a plain ``run`` +
+  ``best_for_delay`` per target, for ``dp-g10`` and ``dp-g40`` on the same
+  compiled candidates: seconds, DP states, and ``records_identical`` over
+  every per-target answer (width, delay, positions, widths).  No speed bar.
 * **tree_dp** — multi-sink routing trees on the compiled engine (ISSUE 8):
   the fused per-edge/merge kernels vs. the Python reference tree DP, on an
   H-tree clock population — bit-identical
@@ -482,6 +487,56 @@ def bench_fused_dp(store, protocol, technology):
     }
 
 
+def bench_baseline_bound(store, protocol, technology):
+    """Plain baseline DP vs. the incumbent-bounded ``run_many``, per library.
+
+    ``dp-g40`` has 10 widths, below the four-width sub-library the stride
+    needs, so its ``run_many`` is one plain run: it prices the fallback.
+    """
+    from repro.engine.compiled import CompiledNet
+
+    cases = store.cases(protocol)
+    dp = PowerAwareDp(technology)
+    section = {}
+    for name, granularity in (("dp-g10", 10.0), ("dp-g40", 40.0)):
+        library = RepeaterLibrary.uniform(10.0, 400.0, granularity)
+        plain_seconds = bounded_seconds = 0.0
+        plain_states = bounded_states = 0
+        identical = True
+        for case in cases:
+            compiled = CompiledNet(case.net, case.candidates)
+            started = time.perf_counter()
+            result = dp.run(case.net, library, compiled=compiled)
+            plain = [result.best_for_delay(target) for target in case.targets]
+            plain_done = time.perf_counter()
+            answers, statistics = dp.run_many(
+                case.net, library, case.targets, compiled=compiled
+            )
+            bounded_seconds += time.perf_counter() - plain_done
+            plain_seconds += plain_done - started
+            plain_states += result.statistics.states_generated
+            bounded_states += statistics.states_generated
+            identical &= answers == plain
+        speedup = plain_seconds / bounded_seconds if bounded_seconds > 0 else float("inf")
+        print(
+            f"[bound {name}] plain {plain_seconds:5.2f}s {plain_states:,} states  "
+            f"run_many {bounded_seconds:5.2f}s {bounded_states:,} states "
+            f"({speedup:.2f}x)  identical: {identical}"
+        )
+        section[name] = {
+            "plain_seconds": plain_seconds,
+            "run_many_seconds": bounded_seconds,
+            "speedup": speedup,
+            "plain_states": plain_states,
+            "run_many_states": bounded_states,
+            "records_identical": identical,
+        }
+    section["records_identical"] = all(
+        entry["records_identical"] for entry in section.values()
+    )
+    return section
+
+
 def bench_tree_dp(technology):
     """Fused tree DP vs. the Python reference oracle on H-trees.
 
@@ -835,6 +890,7 @@ def run(num_nets, targets_per_net, workers, tech_names, output):
     persistence = bench_persistence(store, protocol, technology)
     cold_design = bench_cold_design(store, protocol, technology)
     fused_dp = bench_fused_dp(store, protocol, technology)
+    baseline_bound = bench_baseline_bound(store, protocol, technology)
     tree_dp = bench_tree_dp(technology)
     technologies = bench_technologies(store, protocol, technology, workers, tech_names)
     service = bench_service(store, protocol, technology)
@@ -852,6 +908,7 @@ def run(num_nets, targets_per_net, workers, tech_names, output):
         "persistence": persistence,
         "cold_design": cold_design,
         "fused_dp": fused_dp,
+        "baseline_bound": baseline_bound,
         "tree_dp": tree_dp,
         "technologies": technologies,
         "service": service,
@@ -892,6 +949,8 @@ def run(num_nets, targets_per_net, workers, tech_names, output):
             f"{fused_dp['states_per_second']:,.0f} <= "
             f"{kernels['states_per_second']:,.0f} states/s"
         )
+    if not baseline_bound["records_identical"]:
+        raise SystemExit("the bounded baseline DP's answers diverged from a plain run")
     if not tree_dp["records_identical"]:
         raise SystemExit("fused tree DP diverged from the reference oracle")
     if tree_dp["speedup"] < 5.0:

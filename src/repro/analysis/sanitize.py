@@ -24,6 +24,11 @@ Checks
 * ``scratch-overlap`` — the (caps, delays, widths) views a fused kernel
   returns must live in distinct scratch buffers; aliasing would corrupt the
   next level's expansion in place.
+* ``baseline-bound`` — :meth:`~repro.dp.powerdp.PowerAwareDp.run_many`
+  replays one unbounded run whenever it answered from a width-bounded one,
+  and every per-target answer (width, delay, positions, widths) must be
+  identical.  The replay's states and time stay out of the run's
+  statistics.
 
 Counters (checks run / violations raised) are process-global and exposed as
 :class:`SanitizerStatistics` with the shared ``since``/``merged`` snapshot
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -50,6 +55,7 @@ __all__ = [
     "reset_statistics",
     "check_finite",
     "check_front_dominance",
+    "check_same_answers",
     "check_front_dominance_2d",
     "check_scratch_views",
     "check_power_level",
@@ -274,6 +280,33 @@ def check_scratch_views(where: str, **arrays: Optional[np.ndarray]) -> None:
                     "memory; the next level's in-place expansion would "
                     "corrupt one through the other",
                 )
+
+
+def check_same_answers(where: str, answers: Sequence, replay: Sequence) -> None:
+    """Per-target answers of a bounded DP equal those of the plain replay.
+
+    Each entry is an ``Optional[FrontierPoint]``; equality covers the
+    point's width and delay and its solution's positions and widths.
+    """
+    _count()
+    for index, (answer, expected) in enumerate(zip(answers, replay)):
+        if answer != expected:
+            _fail(
+                "baseline-bound",
+                where,
+                f"target {index}: the width-bounded run answered "
+                f"{_describe_answer(answer)}, the unbounded replay "
+                f"{_describe_answer(expected)}",
+            )
+
+
+def _describe_answer(point) -> str:
+    if point is None:
+        return "no solution"
+    return (
+        f"width {point.total_width!r} delay {point.delay!r} "
+        f"with {point.solution.num_repeaters} repeater(s)"
+    )
 
 
 # --------------------------------------------------------------------- #

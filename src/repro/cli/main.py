@@ -39,6 +39,7 @@ from repro.core.evaluate import evaluate_solution
 from repro.dp.candidates import uniform_candidates
 from repro.dp.powerdp import PowerAwareDp
 from repro.dp.vanginneken import DelayOptimalDp
+from repro.engine.compiled import CompiledNet
 from repro.experiments import (
     Figure7Config,
     ProtocolConfig,
@@ -452,14 +453,15 @@ def _cmd_insert(args: argparse.Namespace) -> int:
         return 0 if result.feasible else 2
 
     library = RepeaterLibrary.uniform(10.0, 400.0, args.dp_granularity)
-    candidates = uniform_candidates(net, 200.0e-6)
-    dp_result = PowerAwareDp(technology).run(net, library, candidates)
-    point = dp_result.best_for_delay(target)
+    compiled = CompiledNet(net, uniform_candidates(net, 200.0e-6))
+    (point,), statistics = PowerAwareDp(technology).run_many(
+        net, library, (target,), compiled=compiled
+    )
     if point is None:
         print("the DP baseline found no solution meeting the target")
         return 2
     _print_solution(net, technology, InsertionSolution.from_dp(point.solution), target)
-    print(f"DP runtime {dp_result.statistics.runtime_seconds:.3f}s")
+    print(f"DP runtime {statistics.runtime_seconds:.3f}s")
     return 0
 
 
@@ -799,6 +801,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.core.refine import RefineMemo, RefineRecordStore
+    from repro.engine.supervisor import SweepJournal
     from repro.engine.wincache import WindowCompilationCache
 
     cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR") or None
@@ -826,11 +829,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     # Frontier / refine tiers live either directly in the directory or in
     # the engine's conventional `wincache` sub-directory.
     wincache_dir = root / "wincache" if (root / "wincache").is_dir() else root
+    journal_dir = root / "journal"
 
     tiers = [
         ("protocol store", root, "protocol-*.json"),
         ("final-DP frontiers", wincache_dir, "frontier-*.json"),
         ("REFINE records", wincache_dir, "refine-*.json"),
+        ("sweep journals", journal_dir, "sweep-*.journal"),
     ]
     print(f"design-state directory: {root}")
     for name, directory, pattern in tiers:
@@ -860,10 +865,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             max_files=refine_budget,
             max_bytes=args.max_refine_bytes,
         ).gc()
+        journal_evicted = SweepJournal.gc(journal_dir)
         print(
             f"gc: evicted {frontier_evicted} frontier files "
             f"(budget {frontier_budget}), {refine_evicted} refine-record files "
-            f"(budget {refine_budget})"
+            f"(budget {refine_budget}), {journal_evicted} sweep journals "
+            f"(budget {SweepJournal.MAX_FILES})"
         )
     return 0
 

@@ -17,6 +17,11 @@ All per-state arithmetic is vectorised with numpy: a "level" (the set of
 surviving states at one candidate location) is a handful of parallel arrays,
 and back-pointers into the previous level allow the winning solution to be
 reconstructed at the end.
+
+A caller that wants one answer per target, like the baselines of a sweep,
+uses :meth:`PowerAwareDp.run_many`.  It bounds the full-library run by the
+width of a sub-library incumbent, so states too wide to answer any of the
+targets are dropped as the DP goes, and its answers equal a plain run's.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from repro.engine.kernels import (
     _traverse_in_place,
     fused_level,
     shared_scratch,
+    within_width_bound,
 )
 from repro.net.twopin import TwoPinNet
 from repro.tech.library import RepeaterLibrary
@@ -248,6 +254,7 @@ class PowerAwareDp:
         candidate_positions: Sequence[float] = (),
         *,
         compiled: Optional[CompiledNet] = None,
+        width_bound: Optional[float] = None,
     ) -> PowerDpResult:
         """Run the DP and return the full delay/width frontier.
 
@@ -257,6 +264,12 @@ class PowerAwareDp:
         without re-legalising.  Callers running several libraries over the
         same candidate set can pass a precompiled net via ``compiled`` to
         share the interval compilation (the batch engine does this).
+
+        ``width_bound`` drops, at every level, the candidate states whose
+        width bucket lies above the bound's
+        (:func:`repro.engine.kernels.within_width_bound`).  The frontier
+        then answers only what :meth:`run_many` asks of it; it never leaves
+        that method.
         """
         started = time.perf_counter()
         if compiled is None:
@@ -266,7 +279,7 @@ class PowerAwareDp:
         else:
             run_levels = self._run_staged
         final_delays, widths, back, levels, states_generated, max_front = run_levels(
-            net, library, compiled
+            net, library, compiled, width_bound
         )
         if isinstance(levels, _FusedBacktrack):
             backtrack = levels
@@ -286,8 +299,117 @@ class PowerAwareDp:
         )
         return PowerDpResult(frontier=frontier, statistics=statistics)
 
+    def run_many(
+        self,
+        net: TwoPinNet,
+        library: RepeaterLibrary,
+        targets: Sequence[float],
+        *,
+        compiled: Optional[CompiledNet] = None,
+    ) -> Tuple[List[Optional[FrontierPoint]], DpStatistics]:
+        """The cheapest solution meeting each target, by branch and bound on width.
+
+        The two-pin twin of :meth:`repro.tree.buffering.TreePowerDp.run_many`.
+        It returns one answer per target, equal to ``run(...)
+        .best_for_delay(target)`` of a plain run (``None`` where nothing
+        meets the target), and the :class:`DpStatistics` of its passes,
+        summed.  All passes run :meth:`run` on one compiled net, so they see
+        the same candidates:
+
+        1. the *incumbent*: the sub-library ``library.widths[::4]``.  Its
+           solutions are solutions of the full library, so the width
+           ``W_ub`` of its cheapest point meeting the tightest target bounds
+           that target's optimum;
+        2. the *bounded* run: the full library with ``width_bound = W_ub +
+           (L + 1) * r``, where ``L = compiled.num_levels``, ``q =
+           max(width_tolerance, 1e-12)`` and ``r = q + width_tolerance``.
+
+        One plain run replaces them when the stride leaves fewer than four
+        widths (libraries of at most 12 widths, where the incumbent costs
+        what the bound saves), when the incumbent misses the tightest
+        target, or, after both passes, when the bounded frontier has no
+        point of width ``<= W_ub`` meeting that target.
+
+        Why the answers are exact, at any tolerance: total width only grows
+        toward the driver, and a prune compares a state only with states of
+        nearby width.  A width bucket spans at most ``q``, the cross prune
+        reaches ``width_tolerance`` across buckets, and the branch reduction
+        merges states of one bucket only (the fused core equals the staged
+        one under a bound).  Every prune compares a state with all earlier
+        ones in a sort whose ties follow the flat index, so no verdict
+        depends on another.  Hence, if two runs' candidates differ only in
+        states wider than ``T``, their prunes give each state of width
+        ``<= T - r`` the same verdict and keep the common survivors in the
+        same order.  The bounded run's candidates differ from the plain
+        run's by the dropped states, all wider than the bound, and by the
+        descendants of states the runs already disagree on.  By induction
+        the two driver fronts agree on every state of width ``<= bound -
+        L * r``, and the frontier sweep, which merges widths within ``1e-12
+        <= r``, keeps the same points of width ``<= bound - (L + 1) * r =
+        W_ub``.  Tolerance pruning can lose the incumbent's own solution,
+        so ``W_ub`` alone does not bound the plain answer; the last fallback
+        covers that.  When the bounded answer at the tightest target is at
+        most ``W_ub`` wide, it lies where the runs agree, and so does each
+        looser target's answer, which is no wider: every answer is the
+        plain run's.  The margin is ``r``, not ``q``, per level because a
+        state whose bucket verdict changed can then flip cross-prune
+        verdicts up to ``width_tolerance`` further down.
+        """
+        targets = [float(target) for target in targets]
+        require(len(targets) > 0, "targets must not be empty")
+        started = time.perf_counter()
+        if compiled is None:
+            compiled = CompiledNet(net, ())
+        tightest = min(targets)
+        passes: List[DpStatistics] = []
+        answers: Optional[List[Optional[FrontierPoint]]] = None
+        sub_widths = library.widths[::4]
+        if len(sub_widths) >= 4:
+            incumbent = self.run(
+                net, RepeaterLibrary.from_widths(sub_widths), compiled=compiled
+            )
+            passes.append(incumbent.statistics)
+            point = incumbent.best_for_delay(tightest)
+            if point is not None:
+                width_tolerance = self._pruning.width_tolerance
+                reach = max(width_tolerance, 1e-12) + width_tolerance
+                bounded = self.run(
+                    net,
+                    library,
+                    compiled=compiled,
+                    width_bound=point.total_width + (compiled.num_levels + 1) * reach,
+                )
+                passes.append(bounded.statistics)
+                answer = bounded.best_for_delay(tightest)
+                if answer is not None and answer.total_width <= point.total_width:
+                    answers = [bounded.best_for_delay(target) for target in targets]
+        from_bounded = answers is not None
+        if answers is None:
+            plain = self.run(net, library, compiled=compiled)
+            passes.append(plain.statistics)
+            answers = [plain.best_for_delay(target) for target in targets]
+        statistics = DpStatistics(
+            num_candidates=compiled.num_levels,
+            library_size=len(library.widths),
+            states_generated=sum(stats.states_generated for stats in passes),
+            max_front_size=max(stats.max_front_size for stats in passes),
+            runtime_seconds=time.perf_counter() - started,
+        )
+        if from_bounded and sanitize.enabled():
+            plain = self.run(net, library, compiled=compiled)
+            sanitize.check_same_answers(
+                f"PowerAwareDp.run_many net {net.name!r}",
+                answers,
+                [plain.best_for_delay(target) for target in targets],
+            )
+        return answers, statistics
+
     def _run_staged(
-        self, net: TwoPinNet, library: RepeaterLibrary, compiled: CompiledNet
+        self,
+        net: TwoPinNet,
+        library: RepeaterLibrary,
+        compiled: CompiledNet,
+        width_bound: Optional[float],
     ):
         """The per-level expand/prune DP loop (the fused core's oracle)."""
         repeater = self._technology.repeater
@@ -337,7 +459,22 @@ class PowerAwareDp:
                 new_decisions[lo:hi] = width
 
             states_generated += count * branches
-            keep = prune_states(new_caps, new_delays, new_widths, self._pruning)
+            if width_bound is None:
+                keep = prune_states(new_caps, new_delays, new_widths, self._pruning)
+            else:
+                inside = np.flatnonzero(
+                    within_width_bound(
+                        new_widths, width_bound, self._pruning.width_tolerance
+                    )
+                )
+                keep = inside[
+                    prune_states(
+                        new_caps[inside],
+                        new_delays[inside],
+                        new_widths[inside],
+                        self._pruning,
+                    )
+                ]
             caps = new_caps[keep]
             delays = new_delays[keep]
             widths = new_widths[keep]
@@ -372,7 +509,11 @@ class PowerAwareDp:
         return final_delays, widths, back, levels, states_generated, max_front
 
     def _run_fused(
-        self, net: TwoPinNet, library: RepeaterLibrary, compiled: CompiledNet
+        self,
+        net: TwoPinNet,
+        library: RepeaterLibrary,
+        compiled: CompiledNet,
+        width_bound: Optional[float],
     ):
         """The fused expand-traverse-prune DP loop on scratch buffers.
 
@@ -424,6 +565,7 @@ class PowerAwareDp:
                 delay_tolerance=pruning.delay_tolerance,
                 width_tolerance=pruning.width_tolerance,
                 full_strategy=full_strategy,
+                width_bound=width_bound,
             )
             states_generated += m
             # The kept flat indices are the whole level record: branch and

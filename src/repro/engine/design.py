@@ -247,9 +247,12 @@ class DesignRecord:
 
     ``total_width`` and ``delay`` are ``None`` when the method found no
     solution meeting the target (a timing violation).  For ``"dp"`` methods
-    ``runtime_seconds`` is the net's single frontier run (shared by all of
-    the net's targets, as in the seed harness); for RIP it is the full
-    per-design flow including the shared coarse pass.
+    ``runtime_seconds`` is the net's one
+    :meth:`~repro.dp.powerdp.PowerAwareDp.run_many` call, shared by all of
+    the net's targets as in the seed harness: the sub-library incumbent
+    pass, the width-bounded pass and any fallback plain run, plus the
+    net's candidate compilation.  For RIP it is the full per-design flow
+    including the shared coarse pass.
     """
 
     net_name: str
@@ -268,6 +271,11 @@ class DesignRecord:
 @dataclass(frozen=True)
 class NetDesignResult:
     """All records of one net, plus per-method instrumentation.
+
+    ``states_generated`` sums the DP states of every method of the entry.
+    A ``dp`` method counts the states of all passes of its
+    :meth:`~repro.dp.powerdp.PowerAwareDp.run_many` call: the incumbent
+    and the bounded pass, plus any fallback plain run.
 
     ``error`` is set when the net's design raised — the sweep carries on
     and reports the failure per-net instead of aborting.  ``failure_kind``
@@ -498,7 +506,8 @@ def _design_rip(spec: MethodSpec, task: _Task) -> Tuple[float, int, List[Dict[st
 
 
 def _design_dp(spec: MethodSpec, task: _Task) -> Tuple[float, int, List[Dict[str, Any]]]:
-    """A baseline power DP: one fixed-library frontier answers every target."""
+    """A baseline power DP: one width-bounded frontier answers every target
+    (:meth:`~repro.dp.powerdp.PowerAwareDp.run_many`)."""
     case = task.case
     if task.compiled is None:
         # One compilation serves every dp method of this net.
@@ -515,24 +524,24 @@ def _design_dp(spec: MethodSpec, task: _Task) -> Tuple[float, int, List[Dict[str
     # same buffers; worker processes each grow their own.
     dp = PowerAwareDp(task.technology, pruning=task.pruning)
     run_started = time.perf_counter()
-    result = dp.run(case.net, spec.library, compiled=task.compiled)
+    points, statistics = dp.run_many(
+        case.net, spec.library, task.targets, compiled=task.compiled
+    )
     # Each method is charged the (shared) compilation, mirroring the
     # legacy harness where every dp run legalised its own candidates
     # — keeps reported DP runtimes comparable across PRs.
     runtime = (time.perf_counter() - run_started) + task.compile_seconds
-    rows = []
-    for target in task.targets:
-        point = result.best_for_delay(target)
-        rows.append(
-            dict(
-                feasible=point is not None,
-                total_width=None if point is None else point.total_width,
-                delay=None if point is None else point.delay,
-                runtime_seconds=runtime,
-                num_repeaters=0 if point is None else point.solution.num_repeaters,
-            )
+    rows = [
+        dict(
+            feasible=point is not None,
+            total_width=None if point is None else point.total_width,
+            delay=None if point is None else point.delay,
+            runtime_seconds=runtime,
+            num_repeaters=0 if point is None else point.solution.num_repeaters,
         )
-    return runtime, result.statistics.states_generated, rows
+        for point in points
+    ]
+    return runtime, statistics.states_generated, rows
 
 
 def _tree_dp_context(technology: Technology, spec: MethodSpec, case: TreeCase) -> str:

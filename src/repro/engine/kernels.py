@@ -66,6 +66,7 @@ __all__ = [
     "tree_merge_level",
     "tree_prune_front",
     "tree_site_level",
+    "within_width_bound",
 ]
 
 _CROSS_BLOCK = 512
@@ -646,6 +647,54 @@ def _reduce_branches(
     return flat
 
 
+def within_width_bound(
+    widths: np.ndarray, width_bound: float, width_tolerance: float
+) -> np.ndarray:
+    """Mask of the rows whose width bucket is at most ``width_bound``'s.
+
+    The keys are the bucket prune's (``rint(width / quantum)``), so the
+    mask keeps or drops whole buckets: a row wider than ``width_bound``
+    survives only inside the bound's own bucket.  The staged core applies
+    this mask as it stands; :func:`_drop_wider_buckets` replays it on
+    scratch buffers.
+    """
+    quantum = max(width_tolerance, 1e-12)
+    return np.rint(widths / quantum) <= np.rint(width_bound / quantum)
+
+
+# hot
+def _drop_wider_buckets(
+    scratch: DpScratch,
+    rows: int,
+    flat: Optional[np.ndarray],
+    width_bound: float,
+    width_tolerance: float,
+) -> Tuple[int, Optional[np.ndarray]]:
+    """Compact the candidate rows to :func:`within_width_bound`'s mask.
+
+    Works in place on the scratch ``exp_*`` buffers, in row order, so the
+    positional sort tie-breaks of the prune that follows still follow the
+    flat index.  Returns the new row count and the kept rows' flat indices
+    (``flat`` unchanged when nothing is dropped; ``None`` stands for the
+    identity of a full expansion).
+    """
+    quantum = max(width_tolerance, 1e-12)
+    keys = scratch.f_a[:rows]
+    np.divide(scratch.exp_widths[:rows], quantum, out=keys)
+    np.rint(keys, out=keys)
+    inside = scratch.mask[:rows]
+    np.less_equal(keys, np.rint(width_bound / quantum), out=inside)
+    kept = np.flatnonzero(inside)
+    k = len(kept)
+    if k == rows:
+        return rows, flat
+    staging = scratch.f_b[:k]
+    for buffer in (scratch.exp_caps, scratch.exp_delays, scratch.exp_widths):
+        buffer.take(kept, out=staging)
+        buffer[:k] = staging
+    return k, kept if flat is None else flat[kept]
+
+
 # hot
 def fused_level(
     scratch: DpScratch,
@@ -661,6 +710,7 @@ def fused_level(
     delay_tolerance: float,
     width_tolerance: float,
     full_strategy: bool,
+    width_bound: Optional[float] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
     """One fused power-aware DP level: traverse, expand, dominance-prune.
 
@@ -678,6 +728,13 @@ def fused_level(
     :func:`_reduce_branches` and dominance-prunes the (much smaller)
     reduced candidate set; the fallback expands in full.  Both paths give
     bit-identical survivors in identical order — see the module docstring.
+
+    With ``width_bound`` set, candidate rows in width buckets above the
+    bound's are dropped before the prune (:func:`within_width_bound`).
+    The mask drops whole buckets, and the branch reduction only ever
+    merges rows of one bucket, so reducing before masking selects what
+    masking the full expansion would: the staged core, which masks the
+    full expansion, stays the bit-identical oracle.
     """
     # Fault-injection hook at the hot compiled-engine boundary every
     # two-pin DP method crosses (a no-op dict probe when REPRO_FAULTS is
@@ -707,6 +764,18 @@ def fused_level(
         rows = m
     else:
         rows = len(flat)
+    if width_bound is not None:
+        rows, flat = _drop_wider_buckets(scratch, rows, flat, width_bound, width_tolerance)
+        if rows == 0:
+            # A bound below every candidate empties the level.
+            return (
+                scratch.front_caps[:0],
+                scratch.front_delays[:0],
+                scratch.front_widths[:0],
+                scratch.arange[:0],
+                m,
+                count,
+            )
 
     keep = _fused_bucket_prune(
         scratch, rows, delay_tolerance=delay_tolerance, width_tolerance=width_tolerance

@@ -37,7 +37,8 @@ stalls the sweep forever.  This module supplies the two missing layers:
     dropped, and replayed entries are byte-for-byte what was recorded.  A
     killed driver (Ctrl-C, OOM, preemption) therefore loses at most the
     in-flight tasks; ``rip sweep --resume`` replays journal hits and
-    executes only the remainder.
+    executes only the remainder.  ``rip cache --gc`` keeps the newest
+    :attr:`SweepJournal.MAX_FILES` journals of a directory.
 
 Both layers are deterministic in their *results*: tasks are pure functions
 of their payloads, so any schedule of retries and rebuilds yields records
@@ -61,6 +62,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.utils.canonical import stable_digest
+from repro.utils.disklru import DiskLruBudget
 from repro.utils.validation import require
 
 __all__ = [
@@ -531,7 +533,13 @@ class SweepJournal:
     discipline: a missing/stale/corrupt header evicts the file outright, a
     line whose digest does not match its payload (a torn write from a
     killed driver) is dropped, and later entries for the same task key win.
+
+    Every change of the sweep identity starts a new file, so the old ones
+    are only reclaimed by :meth:`gc` (``rip cache --gc``).
     """
+
+    #: Journals :meth:`gc` keeps per directory, most recently written first.
+    MAX_FILES = 64
 
     def __init__(self, directory: "str | Path", components: Dict[str, Any]) -> None:
         self._directory = Path(directory)
@@ -599,6 +607,24 @@ class SweepJournal:
                 self._handle.close()
             finally:
                 self._handle = None
+
+    @classmethod
+    def gc(cls, directory: "str | Path") -> int:
+        """Keep the newest :attr:`MAX_FILES` journals in ``directory``, LRU
+        by mtime like the frontier and refine tiers; returns files evicted."""
+        evicted = []
+
+        def evict(path: Path) -> None:
+            try:
+                os.unlink(path)
+            except OSError:  # pragma: no cover - racing eviction is harmless
+                return
+            evicted.append(path)
+
+        DiskLruBudget(
+            directory, "sweep-*.journal", max_files=cls.MAX_FILES, max_bytes=None
+        ).gc(evict)
+        return len(evicted)
 
     def __enter__(self) -> "SweepJournal":
         return self

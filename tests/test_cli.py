@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 
 import pytest
 
 from repro.cli.main import build_parser, main
+from repro.engine.supervisor import SweepJournal
 from repro.net.io import load_net
 
 
@@ -209,6 +211,46 @@ def test_cache_reports_and_gcs_tiers(tmp_path, capsys):
     assert "gc: evicted" in capsys.readouterr().out
     assert len(list((cache_dir / "wincache").glob("frontier-*.json"))) == 1
     assert len(list((cache_dir / "wincache").glob("refine-*.json"))) <= 1
+
+
+def test_cache_gc_keeps_the_newest_sweep_journals(tmp_path, capsys, monkeypatch):
+    """Every sweep identity writes its own journal; ``--gc`` keeps the
+    newest ``SweepJournal.MAX_FILES`` of them, by mtime."""
+    cache_dir = tmp_path / "cache"
+    assert (
+        main(
+            [
+                "sweep",
+                "--nets",
+                "1",
+                "--targets",
+                "2",
+                "--methods",
+                "dp-g40",
+                "--cache-dir",
+                str(cache_dir),
+            ]
+        )
+        == 0
+    )
+    journal_dir = cache_dir / "journal"
+    (live,) = journal_dir.glob("sweep-*.journal")
+    for age, name in ((100, "old"), (200, "older"), (300, "oldest")):
+        stale = journal_dir / f"sweep-{name}.journal"
+        stale.write_text("{}\n", encoding="utf-8")
+        os.utime(stale, (live.stat().st_mtime - age,) * 2)
+    capsys.readouterr()
+
+    assert main(["cache", "--cache-dir", str(cache_dir)]) == 0
+    listing = capsys.readouterr().out
+    assert "sweep journals" in listing and "4 files" in listing
+
+    monkeypatch.setattr(SweepJournal, "MAX_FILES", 2)
+    assert main(["cache", "--cache-dir", str(cache_dir), "--gc"]) == 0
+    assert "2 sweep journals (budget 2)" in capsys.readouterr().out
+    assert sorted(path.name for path in journal_dir.glob("sweep-*.journal")) == sorted(
+        [live.name, "sweep-old.journal"]
+    )
 
 
 def test_sweep_exit_codes_reflect_failures(tmp_path, capsys, monkeypatch):
