@@ -31,7 +31,10 @@ framework as an environment-variable-driven switchboard:
   of pool scheduling, and the natural way to express "kill attempt 1 only"
   (retry succeeds) versus "kill every allowed attempt" (quarantined as
   poisoned).  At sites without an attempt (cache reads, batcher drains) the
-  first ``count`` matching calls *per process* fire;
+  budget is counted per (process, task key): inside a design task the
+  task's first ``count`` matching calls fire, so a ``wincache.disk-read``
+  spec corrupts each net's first ``count`` reads, and outside any task the
+  process's first ``count`` calls fire;
 * ``seed`` — optional integer folded into the corruption payload and the
   injected-exception message so distinct chaos runs are distinguishable in
   logs; defaults to 0.
@@ -295,9 +298,11 @@ def maybe_corrupt(site: str, payload: str, key: Optional[str] = None) -> str:
 
     Non-corruption modes targeting the site fire exactly as
     :func:`maybe_inject`; a matching ``corrupt-cache-read`` spec replaces
-    the payload with deterministically invalid bytes (budgeted by a
-    per-process call counter — attempt budgets do not apply, so one spec
-    corrupts exactly ``count`` reads).
+    the payload with deterministically invalid bytes.  Attempt budgets do
+    not apply: the budget is a call counter per (process, task key), so
+    one spec corrupts the first ``count`` reads of every task (ambient
+    :func:`task_context` key or ``key=``) and the first ``count`` reads
+    made outside any task.
     """
     maybe_inject(site, key=key)
     state = _active()

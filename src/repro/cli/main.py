@@ -203,9 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "shared design-state directory: persists the protocol store "
-            "(net population + tau_min) plus, under <dir>/wincache, the "
-            "final-DP frontiers and REFINE continuation records, so a "
-            "repeated sweep skips REFINE and the final DP outright"
+            "(net population + tau_min) plus, under <dir>/wincache, the DP "
+            "memo (RIP frontiers, tree solutions, dp-g* baseline answers) "
+            "and REFINE continuation records, so a repeated sweep skips "
+            "REFINE and every DP outright"
         ),
     )
     sweep.add_argument(
@@ -213,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "write the sweep as JSON to this path: "
-            '{"records": [...], "failures": [...]}'
+            '{"records": [...], "failures": [...], "window_cache": {...}}'
         ),
     )
     sweep.add_argument(
@@ -758,6 +759,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 }
                 for failure in failures
             ],
+            # The sweep's merged window-cache counters (null when disabled).
+            "window_cache": None if cache is None else asdict(cache),
         }
         with open(args.json, "w", encoding="utf-8") as handle:
             _json.dump(payload, handle, indent=1)
@@ -833,7 +836,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
     tiers = [
         ("protocol store", root, "protocol-*.json"),
-        ("final-DP frontiers", wincache_dir, "frontier-*.json"),
+        # RIP frontiers, tree solutions and dp-g* baseline answers.
+        ("DP memo entries", wincache_dir, "frontier-*.json"),
         ("REFINE records", wincache_dir, "refine-*.json"),
         ("sweep journals", journal_dir, "sweep-*.journal"),
     ]

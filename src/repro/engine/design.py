@@ -46,9 +46,9 @@ worker process to a per-process cache via a pool initializer
 :class:`~repro.core.refine.RefineMemo`, so a repeated net answers REFINE
 from the records of earlier tasks although every task builds its own
 :class:`~repro.core.rip.Rip`.  With a disk-backed engine (``store`` has a ``cache_dir``, or an explicit
-``window_cache_dir``) all of them share one on-disk frontier/refine-record
+``window_cache_dir``) all of them share one on-disk DP-memo/refine-record
 directory, so repeated sweeps — including across process restarts — skip
-REFINE and the final DP outright.  Each task snapshots its cache-counter
+REFINE, RIP's DPs and the ``dp-g*`` baselines outright.  Each task snapshots its cache-counter
 delta (REFINE memo hits and cold runs included) onto
 ``NetDesignResult.cache_statistics`` and the engine merges the deltas into
 ``EngineStatistics.window_cache``, so cache behaviour is observable per
@@ -91,8 +91,10 @@ from repro.engine.supervisor import (
     TaskOutcome,
 )
 from repro.engine.wincache import (
+    BaselineAnswers,
     CacheStatistics,
     WindowCompilationCache,
+    dp_context_fingerprint,
     net_fingerprint,
     tree_fingerprint,
 )
@@ -251,8 +253,12 @@ class DesignRecord:
     :meth:`~repro.dp.powerdp.PowerAwareDp.run_many` call, shared by all of
     the net's targets as in the seed harness: the sub-library incumbent
     pass, the width-bounded pass and any fallback plain run, plus the
-    net's candidate compilation.  For RIP it is the full per-design flow
-    including the shared coarse pass.
+    net's candidate compilation.  When the window cache's baseline memo
+    answers the net, the record replays the runtime of the run that
+    computed the answers, as a sweep-journal replay does, so a memo hit
+    equals its cold record field for field.  For RIP it is the full
+    per-design flow including the shared coarse pass, as measured in this
+    call: on a warm cache that is mostly memo lookups.
     """
 
     net_name: str
@@ -275,7 +281,11 @@ class NetDesignResult:
     ``states_generated`` sums the DP states of every method of the entry.
     A ``dp`` method counts the states of all passes of its
     :meth:`~repro.dp.powerdp.PowerAwareDp.run_many` call: the incumbent
-    and the bounded pass, plus any fallback plain run.
+    and the bounded pass, plus any fallback plain run.  Every method reads
+    its states off the DP results it used, so a memo hit counts the states
+    of the run that computed the entry.  A ``dp`` method's
+    ``method_runtimes`` entry replays that run's runtime on a hit too;
+    ``rip`` and ``tree`` runtimes are measured in this call.
 
     ``error`` is set when the net's design raised — the sweep carries on
     and reports the failure per-net instead of aborting.  ``failure_kind``
@@ -465,8 +475,8 @@ def _attach_window_cache(spec: WindowCacheSpec) -> Optional[WindowCompilationCac
 @dataclass
 class _Task:
     """What every method of one population entry shares.  The entry's first
-    ``dp`` method builds ``compiled`` (taking ``compile_seconds``) for the
-    later ones."""
+    ``dp`` method that misses the baseline memo builds ``compiled`` (taking
+    ``compile_seconds``) for the later ones."""
 
     case: "NetCase | TreeCase"
     targets: Tuple[float, ...]
@@ -507,41 +517,58 @@ def _design_rip(spec: MethodSpec, task: _Task) -> Tuple[float, int, List[Dict[st
 
 def _design_dp(spec: MethodSpec, task: _Task) -> Tuple[float, int, List[Dict[str, Any]]]:
     """A baseline power DP: one width-bounded frontier answers every target
-    (:meth:`~repro.dp.powerdp.PowerAwareDp.run_many`)."""
+    (:meth:`~repro.dp.powerdp.PowerAwareDp.run_many`), drawn from the window
+    cache's memoized baseline answers when caching is on.  A memo hit
+    replays the runtime and states of the run that computed the answers."""
     case = task.case
-    if task.compiled is None:
-        # One compilation serves every dp method of this net.
-        compile_started = time.perf_counter()
-        task.compiled = (
-            task.window_cache.compiled(case.net, case.candidates)
-            if task.window_cache is not None
-            else CompiledNet(case.net, case.candidates)
+
+    def run() -> BaselineAnswers:
+        if task.compiled is None:
+            # One compilation serves every dp method of this net that misses.
+            compile_started = time.perf_counter()
+            task.compiled = (
+                task.window_cache.compiled(case.net, case.candidates)
+                if task.window_cache is not None
+                else CompiledNet(case.net, case.candidates)
+            )
+            task.compile_seconds = time.perf_counter() - compile_started
+        # The fused core draws its scratch arena from the per-worker
+        # process singleton (``kernels.shared_scratch``): within one
+        # worker every dp method, net task and RIP pass reuses the
+        # same buffers; worker processes each grow their own.
+        dp = PowerAwareDp(task.technology, pruning=task.pruning)
+        run_started = time.perf_counter()
+        points, statistics = dp.run_many(
+            case.net, spec.library, task.targets, compiled=task.compiled
         )
-        task.compile_seconds = time.perf_counter() - compile_started
-    # The fused core draws its scratch arena from the per-worker
-    # process singleton (``kernels.shared_scratch``): within one
-    # worker every dp method, net task and RIP pass reuses the
-    # same buffers; worker processes each grow their own.
-    dp = PowerAwareDp(task.technology, pruning=task.pruning)
-    run_started = time.perf_counter()
-    points, statistics = dp.run_many(
-        case.net, spec.library, task.targets, compiled=task.compiled
-    )
-    # Each method is charged the (shared) compilation, mirroring the
-    # legacy harness where every dp run legalised its own candidates
-    # — keeps reported DP runtimes comparable across PRs.
-    runtime = (time.perf_counter() - run_started) + task.compile_seconds
+        # Each method is charged the (shared) compilation, mirroring the
+        # legacy harness where every dp run legalised its own candidates
+        # — keeps reported DP runtimes comparable across PRs.
+        runtime = (time.perf_counter() - run_started) + task.compile_seconds
+        return BaselineAnswers(tuple(points), statistics, runtime)
+
+    if task.window_cache is not None:
+        answers = task.window_cache.baseline_answers(
+            case.net,
+            dp_context_fingerprint(task.technology, task.pruning),
+            spec.library.widths,
+            case.candidates,
+            task.targets,
+            run,
+        )
+    else:
+        answers = run()
     rows = [
         dict(
             feasible=point is not None,
             total_width=None if point is None else point.total_width,
             delay=None if point is None else point.delay,
-            runtime_seconds=runtime,
+            runtime_seconds=answers.runtime_seconds,
             num_repeaters=0 if point is None else point.solution.num_repeaters,
         )
-        for point in points
+        for point in answers.points
     ]
-    return runtime, statistics.states_generated, rows
+    return answers.runtime_seconds, answers.statistics.states_generated, rows
 
 
 def _tree_dp_context(technology: Technology, spec: MethodSpec, case: TreeCase) -> str:

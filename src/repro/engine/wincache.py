@@ -1,4 +1,4 @@
-"""Shared window-compilation cache for RIP's final DP pass.
+"""Shared window-compilation cache for RIP's DP passes and the DP methods.
 
 With the DP frontier kernels vectorized (PR 1), the residual per-design
 Python cost of the hybrid RIP flow is *window compilation*: for every
@@ -12,21 +12,25 @@ Across a multi-target sweep those structures repeat heavily: REFINE
 converges to the *same* refined locations for many adjacent timing targets
 (loose targets all land on the unconstrained power optimum), the fallback
 pass re-merges the same coarse grid, and re-runs of the same design hit
-identical inputs.  :class:`WindowCompilationCache` memoizes three layers
-(plus REFINE's exact-hit memo, see below):
+identical inputs.  :class:`WindowCompilationCache` memoizes two compilation
+layers and one **DP memo** (plus REFINE's exact-hit memo, see below):
 
 * ``window_candidates`` keyed by ``(net fingerprint, refined locations,
   window, pitch)``;
 * ``CompiledNet`` slices keyed by ``(net fingerprint, candidate grid)`` —
   shared across every library run on the same window;
-* the final-pass **DP frontier** keyed by ``(net fingerprint, dp context,
-  library widths, candidate grid)``, where the *dp context* fingerprints
-  the technology constants and pruning configuration.  The frontier is a
-  deterministic pure function of that key, so when two timing targets
-  produce the same design-specific library and window (the common case for
-  adjacent targets), the second one skips the final DP entirely and reads
-  its answer off the memoized frontier — this layer is what turns the
-  repeated-window structure into wall-clock savings.
+* the DP memo: one keyed-memo path with three entry kinds.  RIP's coarse
+  and final **frontiers** (:meth:`~WindowCompilationCache.final_dp_result`)
+  are keyed by ``(net fingerprint, dp context, library widths, candidate
+  grid)``, where the *dp context* fingerprints the technology constants
+  and pruning configuration; adjacent targets that refine to the same
+  library and window share one final DP.  **Tree solutions**
+  (:meth:`~WindowCompilationCache.tree_solutions`) are keyed by ``(tree
+  fingerprint, tree-DP context, targets)``, and a ``dp-g*`` method's
+  **baseline answers** (:meth:`~WindowCompilationCache.baseline_answers`)
+  by ``(net fingerprint, dp context, library widths, candidate grid,
+  targets)``.  Each entry is a deterministic pure function of its key, so
+  a hit skips the DP run outright.
 
 The cache also owns REFINE's exact-hit records
 (:attr:`WindowCompilationCache.refine_memo`, bounded by the same
@@ -45,20 +49,20 @@ the net's canonical serialization (:func:`repro.net.io.net_to_dict`), so it
 is stable across processes — two workers given equal nets compute equal
 keys.
 
-Persistent frontier tier
-------------------------
+Persistent DP-memo tier
+-----------------------
 Because every key component is a process-stable digest or an exact float
-tuple, the **frontier layer** additionally supports a disk tier
-(``cache_dir``): each memoized final-pass DP frontier is written as a
-versioned, self-keyed ``frontier-<digest>.json`` file (atomic
-write-and-replace, safe for concurrent workers sharing one directory).
-Floats round-trip exactly through JSON, so a reloaded frontier is
-bit-for-bit equal to the computed one — repeated sweeps survive process
-restarts with the final DP skipped outright.  The eviction discipline
-matches :class:`~repro.engine.cache.ProtocolStore` v2: a file that fails to
-parse, carries a stale ``format_version``, or whose embedded key/components
-do not match its name is deleted and rebuilt, never trusted and never
-fatal.
+tuple, the DP memo additionally supports a disk tier (``cache_dir``): each
+entry is written as a versioned, self-keyed ``frontier-<digest>.json`` file
+(atomic write-and-replace, safe for concurrent workers sharing one
+directory); tree and baseline files carry a ``"kind"`` tag.  Floats
+round-trip exactly through JSON, so a reloaded entry is bit-for-bit equal
+to the computed one — repeated sweeps survive process restarts with the
+DPs skipped outright.
+The eviction discipline matches :class:`~repro.engine.cache.ProtocolStore`
+v2: a file that fails to parse, carries a stale ``format_version``, or
+whose embedded key/components do not match its name is deleted and
+rebuilt, never trusted and never fatal.
 """
 
 from __future__ import annotations
@@ -92,6 +96,7 @@ if TYPE_CHECKING:
     from repro.core.refine import RefineMemo
 
 __all__ = [
+    "BaselineAnswers",
     "CacheStatistics",
     "FRONTIER_FORMAT_VERSION",
     "WindowCompilationCache",
@@ -170,24 +175,68 @@ def dp_context_fingerprint(technology, pruning) -> str:
 
 
 # --------------------------------------------------------------------------- #
-# frontier (de)serialization for the disk tier
+# DP-memo values and their (de)serialization for the disk tier
 # --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class BaselineAnswers:
+    """One ``dp-g*`` method's answers on one net, as the DP memo stores them.
+
+    ``points`` holds :meth:`~repro.dp.powerdp.PowerAwareDp.run_many`'s
+    answer per target (``None`` where nothing meets the target) and
+    ``statistics`` its summed :class:`DpStatistics`.  ``runtime_seconds``
+    is the method runtime charged when the answers were computed (the
+    passes plus the net's candidate compilation); a memo hit replays it,
+    as a sweep-journal replay does.
+    """
+
+    points: Tuple[Optional[FrontierPoint], ...]
+    statistics: DpStatistics
+    runtime_seconds: float
+
+
+def _fields_payload(record) -> dict:
+    fields = dataclasses.fields(record)
+    return {field.name: getattr(record, field.name) for field in fields}
+
+
+def _point_to_payload(point: FrontierPoint) -> dict:
+    return {
+        "delay": point.delay,
+        "total_width": point.total_width,
+        "positions": list(point.solution.positions),
+        "widths": list(point.solution.widths),
+    }
+
+
+def _point_from_payload(entry: dict) -> FrontierPoint:
+    delay, total_width = float(entry["delay"]), float(entry["total_width"])
+    return FrontierPoint(
+        delay=delay,
+        total_width=total_width,
+        solution=DpSolution.from_lists(
+            positions=[float(p) for p in entry["positions"]],
+            widths=[float(w) for w in entry["widths"]],
+            delay=delay,
+            total_width=total_width,
+        ),
+    )
+
+
+def _dp_statistics_from_payload(raw: dict) -> DpStatistics:
+    return DpStatistics(
+        num_candidates=int(raw["num_candidates"]),
+        library_size=int(raw["library_size"]),
+        states_generated=int(raw["states_generated"]),
+        max_front_size=int(raw["max_front_size"]),
+        runtime_seconds=float(raw["runtime_seconds"]),
+    )
+
+
 def dp_result_to_payload(result: PowerDpResult) -> dict:
     """JSON-ready payload of a final-pass DP result (exact float round-trip)."""
     return {
-        "statistics": {
-            field.name: getattr(result.statistics, field.name)
-            for field in dataclasses.fields(result.statistics)
-        },
-        "points": [
-            {
-                "delay": point.delay,
-                "total_width": point.total_width,
-                "positions": list(point.solution.positions),
-                "widths": list(point.solution.widths),
-            }
-            for point in result.frontier.points
-        ],
+        "statistics": _fields_payload(result.statistics),
+        "points": [_point_to_payload(point) for point in result.frontier.points],
     }
 
 
@@ -198,58 +247,44 @@ def dp_result_from_payload(payload: dict) -> PowerDpResult:
     exactly, and :class:`DelayWidthFrontier`'s construction-time pruning is
     the identity on an already-pruned frontier.
     """
-    points = [
-        FrontierPoint(
-            delay=float(entry["delay"]),
-            total_width=float(entry["total_width"]),
-            solution=DpSolution.from_lists(
-                positions=[float(p) for p in entry["positions"]],
-                widths=[float(w) for w in entry["widths"]],
-                delay=float(entry["delay"]),
-                total_width=float(entry["total_width"]),
-            ),
-        )
-        for entry in payload["points"]
-    ]
-    raw = payload["statistics"]
-    statistics = DpStatistics(
-        num_candidates=int(raw["num_candidates"]),
-        library_size=int(raw["library_size"]),
-        states_generated=int(raw["states_generated"]),
-        max_front_size=int(raw["max_front_size"]),
-        runtime_seconds=float(raw["runtime_seconds"]),
-    )
+    points = [_point_from_payload(entry) for entry in payload["points"]]
+    statistics = _dp_statistics_from_payload(payload["statistics"])
     return PowerDpResult(frontier=DelayWidthFrontier(points), statistics=statistics)
+
+
+def _baseline_to_payload(answers: BaselineAnswers) -> dict:
+    return {
+        "points": [None if p is None else _point_to_payload(p) for p in answers.points],
+        "statistics": _fields_payload(answers.statistics),
+        "runtime_seconds": answers.runtime_seconds,
+    }
+
+
+def _baseline_from_payload(payload: dict) -> BaselineAnswers:
+    return BaselineAnswers(
+        points=tuple(
+            None if entry is None else _point_from_payload(entry)
+            for entry in payload["points"]
+        ),
+        statistics=_dp_statistics_from_payload(payload["statistics"]),
+        runtime_seconds=float(payload["runtime_seconds"]),
+    )
 
 
 def tree_solutions_to_payload(solutions: Sequence[TreeSolution]) -> list:
     """JSON-ready payload of per-target tree DP solutions (exact floats)."""
-    payload = []
-    for solution in solutions:
-        statistics = solution.statistics
-        payload.append(
-            {
-                "assignments": [
-                    {
-                        "parent": assignment.parent,
-                        "child": assignment.child,
-                        "distance_from_child": assignment.distance_from_child,
-                        "width": assignment.width,
-                    }
-                    for assignment in solution.assignments
-                ],
-                "worst_delay": solution.worst_delay,
-                "total_width": solution.total_width,
-                "feasible": solution.feasible,
-                "statistics": None
-                if statistics is None
-                else {
-                    field.name: getattr(statistics, field.name)
-                    for field in dataclasses.fields(statistics)
-                },
-            }
-        )
-    return payload
+    return [
+        {
+            "assignments": [_fields_payload(item) for item in solution.assignments],
+            "worst_delay": solution.worst_delay,
+            "total_width": solution.total_width,
+            "feasible": solution.feasible,
+            "statistics": None
+            if solution.statistics is None
+            else _fields_payload(solution.statistics),
+        }
+        for solution in solutions
+    ]
 
 
 def tree_solutions_from_payload(payload: Sequence[dict]) -> "list[TreeSolution]":
@@ -297,14 +332,16 @@ def tree_solutions_from_payload(payload: Sequence[dict]) -> "list[TreeSolution]"
 class CacheStatistics(Counters):
     """Hit/miss instrumentation of one :class:`WindowCompilationCache`.
 
-    ``frontier_misses`` counts in-memory frontier misses; the ``disk_*``
-    counters instrument the persistent tier beneath them (a disk hit is
-    still an in-memory miss).  ``refine_hits``/``refine_cold_runs`` count
-    REFINE queries the cache's :class:`~repro.core.refine.RefineMemo`
-    answered from a record / computed; they are not window-cache lookups,
-    so ``hits``, ``misses`` and ``hit_rate`` leave them out.  ``entries``
-    is a gauge (current entry count of the three window layers), every
-    other field a monotone counter.
+    ``frontier_hits``/``frontier_misses`` count in-memory lookups of the
+    DP memo, whatever the entry kind (RIP frontiers, tree solutions,
+    baseline answers); the ``disk_*`` counters instrument the persistent
+    tier beneath it (a disk hit is still an in-memory miss).
+    ``refine_hits``/``refine_cold_runs`` count REFINE queries the cache's
+    :class:`~repro.core.refine.RefineMemo` answered from a record /
+    computed; they are not window-cache lookups, so ``hits``, ``misses``
+    and ``hit_rate`` leave them out.  ``entries`` is a gauge (current entry
+    count of the two compilation layers and the DP memo), every other
+    field a monotone counter.
 
     Each process has its own cache, so ``entries`` cannot be compared
     between a serial and a pooled sweep, nor between two pooled runs: a
@@ -345,16 +382,17 @@ class CacheStatistics(Counters):
 
 
 class WindowCompilationCache:
-    """Bounded LRU memo of window candidate grids and compiled-net slices.
+    """Bounded LRU memo of window candidate grids, compiled-net slices and
+    DP results.
 
-    With ``cache_dir`` set, the frontier layer is additionally persisted to
+    With ``cache_dir`` set, the DP memo is additionally persisted to
     versioned, self-keyed JSON files in that directory (shared safely by
     concurrent worker processes) — see the module docstring.
 
     Disk budget
     -----------
     Long-lived services touch unboundedly many (net, window) pairs, so the
-    persistent frontier files are LRU-bounded on disk exactly like the
+    persistent DP-memo files are LRU-bounded on disk exactly like the
     refine-record tier (:class:`~repro.core.refine.RefineRecordStore`):
     after a save, the least-recently-used ``frontier-*.json`` files beyond
     ``max_files`` (and, when set, beyond ``max_bytes`` total) are evicted.
@@ -365,7 +403,7 @@ class WindowCompilationCache:
     demand (the ``rip cache --gc`` subcommand).
     """
 
-    #: Default count budget of the persistent frontier tier.
+    #: Default count budget of the persistent DP-memo tier.
     DEFAULT_MAX_FRONTIER_FILES = 4096
 
     def __init__(
@@ -414,7 +452,7 @@ class WindowCompilationCache:
 
     @property
     def cache_dir(self) -> Optional[Path]:
-        """Directory of the persistent frontier tier (``None`` = memory only)."""
+        """Directory of the persistent DP-memo tier (``None`` = memory only)."""
         return self._cache_dir
 
     @property
@@ -425,12 +463,12 @@ class WindowCompilationCache:
 
     @property
     def max_files(self) -> Optional[int]:
-        """Count budget of the frontier disk tier (``None`` = unbounded)."""
+        """Count budget of the DP-memo disk tier (``None`` = unbounded)."""
         return self._budget.max_files
 
     @property
     def max_bytes(self) -> Optional[int]:
-        """Size budget (bytes) of the frontier disk tier (``None`` = unbounded)."""
+        """Size budget (bytes) of the DP-memo disk tier (``None`` = unbounded)."""
         return self._budget.max_bytes
 
     @property
@@ -454,8 +492,8 @@ class WindowCompilationCache:
         )
 
     def clear(self) -> None:
-        """Drop the window-layer entries (counters, the REFINE memo and disk
-        files are kept)."""
+        """Drop the compilation and DP-memo entries (counters, the REFINE
+        memo and disk files are kept)."""
         self._candidates.clear()
         self._compiled.clear()
         self._frontiers.clear()
@@ -533,43 +571,25 @@ class WindowCompilationCache:
         candidate_positions: Sequence[float],
         factory: Callable[[], _ResultT],
     ) -> _ResultT:
-        """Memoized final-pass DP frontier.
+        """Memoized RIP DP frontier (the coarse and the final pass).
 
         ``context`` must fingerprint every DP input besides the key's own
         components — use :func:`dp_context_fingerprint` for the technology
         and pruning configuration.  A frontier run is deterministic given
         ``(net, context, library, candidates)``, so a hit returns a result
         bit-for-bit equal to what ``factory()`` would recompute; on a hit
-        the factory (and hence the whole DP run) is skipped.
+        the factory (and hence the whole DP run) is skipped.  Only
+        :class:`PowerDpResult` values reach the disk tier.
         """
         # ``context`` is already a canonical fingerprint string; coercing it
         # through str() would mask a non-canonical caller (lint R3 bans it).
-        key = (
+        parts = (
             net_fingerprint(net),
             context,
-            tuple(float(width) for width in library_widths),
-            tuple(float(position) for position in candidate_positions),
+            tuple(map(float, library_widths)),
+            tuple(map(float, candidate_positions)),
         )
-        cached = self._frontiers.get(key)
-        if cached is not None:
-            self._frontier_hits += 1
-            self._frontiers.move_to_end(key)
-            return cached  # type: ignore[return-value]
-        self._frontier_misses += 1
-        if self._cache_dir is not None:
-            loaded = self._load_frontier(key)
-            if loaded is not None:
-                self._disk_hits += 1
-                self._frontiers[key] = loaded
-                self._evict_to_capacity(self._frontiers)
-                return loaded  # type: ignore[return-value]
-            self._disk_misses += 1
-        result = factory()
-        self._frontiers[key] = result
-        self._evict_to_capacity(self._frontiers)
-        if self._cache_dir is not None:
-            self._save_frontier(key, result)
-        return result
+        return self._memo(_FRONTIER, parts, factory)
 
     def tree_solutions(
         self,
@@ -578,64 +598,88 @@ class WindowCompilationCache:
         timing_targets: Sequence[float],
         factory: Callable[[], "list[TreeSolution]"],
     ) -> "list[TreeSolution]":
-        """Memoized per-target tree DP solutions (the tree analogue of
-        :meth:`final_dp_result`).
+        """Memoized per-target tree DP solutions.
 
         ``context`` must fingerprint every tree-DP input besides the tree
         and the targets: the technology, the library, the site pitch and
         the state cap (:class:`~repro.engine.design.DesignEngine` folds
-        those into one digest).  Tree entries share the frontier layer's LRU
-        table, hit/miss counters and persistent tier — tree files are
-        ``frontier-<digest>.json`` with ``"kind": "tree"`` payloads under
-        the same disk budget.
+        those into one digest).
         """
-        key = (
-            "tree",
-            tree_fingerprint(tree),
+        parts = (tree_fingerprint(tree), context, tuple(map(float, timing_targets)))
+        return self._memo(_TREE, parts, factory)
+
+    def baseline_answers(
+        self,
+        net: TwoPinNet,
+        context: str,
+        library_widths: Sequence[float],
+        candidate_positions: Sequence[float],
+        timing_targets: Sequence[float],
+        factory: Callable[[], BaselineAnswers],
+    ) -> BaselineAnswers:
+        """Memoized answers of one ``dp-g*`` method on one net.
+
+        ``context`` is :func:`dp_context_fingerprint` of the technology and
+        pruning.  The whole target tuple joins the key, because
+        :meth:`~repro.dp.powerdp.PowerAwareDp.run_many` bounds its run by
+        the tightest target and so answers only the targets it was given.
+        """
+        parts = (
+            net_fingerprint(net),
             context,
-            tuple(float(target) for target in timing_targets),
+            tuple(map(float, library_widths)),
+            tuple(map(float, candidate_positions)),
+            tuple(map(float, timing_targets)),
         )
+        return self._memo(_BASELINE, parts, factory)
+
+    # ------------------------------------------------------------------ #
+    # the one keyed-memo path of the DP memo and its persistent tier
+    # ------------------------------------------------------------------ #
+    def _memo(
+        self, kind: "_EntryKind", parts: tuple, factory: Callable[[], _ResultT]
+    ) -> _ResultT:
+        """Memory LRU, then the disk tier, then ``factory()``."""
+        key = (kind.tag, *parts)
         cached = self._frontiers.get(key)
         if cached is not None:
             self._frontier_hits += 1
             self._frontiers.move_to_end(key)
             return cached  # type: ignore[return-value]
         self._frontier_misses += 1
+        result = None
         if self._cache_dir is not None:
-            loaded = self._load_tree_solutions(key)
-            if loaded is not None:
+            result = self._load(kind, parts)
+            if result is None:
+                self._disk_misses += 1
+            else:
                 self._disk_hits += 1
-                self._frontiers[key] = loaded
-                self._evict_to_capacity(self._frontiers)
-                return loaded
-            self._disk_misses += 1
-        result = factory()
+        if result is None:
+            result = factory()
+            if self._cache_dir is not None and isinstance(result, kind.value_type):
+                self._save(kind, parts, result)
         self._frontiers[key] = result
         self._evict_to_capacity(self._frontiers)
-        if self._cache_dir is not None:
-            self._save_tree_solutions(key, result)
         return result
 
-    # ------------------------------------------------------------------ #
-    # persistent frontier tier
-    # ------------------------------------------------------------------ #
     @staticmethod
-    def _frontier_digest(key: tuple) -> str:
-        return stable_digest(
-            {
-                "net": key[0],
-                "context": key[1],
-                "library": list(key[2]),
-                "candidates": list(key[3]),
-            }
-        )
+    def _components(kind: "_EntryKind", parts: tuple) -> Tuple[dict, str]:
+        """The self-keying fields of an entry's file and their digest.
 
-    def _frontier_path(self, digest: str) -> Path:
+        The fields are the ``kind`` tag (none for frontiers) and the named
+        key parts, sequences as lists; the digest covers all of them.
+        """
+        components = {} if kind.tag is None else {"kind": kind.tag}
+        for name, value in zip(kind.parts, parts):
+            components[name] = list(value) if isinstance(value, tuple) else value
+        return components, stable_digest(components)
+
+    def _path(self, digest: str) -> Path:
         assert self._cache_dir is not None
         return self._cache_dir / f"frontier-{digest}.json"
 
     def _evict_file(self, path: Path) -> None:
-        """Delete a stale/corrupted/over-budget frontier file (best-effort)."""
+        """Delete a stale/corrupted/over-budget DP-memo file (best-effort)."""
         self._disk_evictions += 1
         self._budget.forget(path.name)
         try:
@@ -643,9 +687,9 @@ class WindowCompilationCache:
         except OSError:  # pragma: no cover - racing eviction is harmless
             pass
 
-    def _load_frontier(self, key: tuple) -> Optional[PowerDpResult]:
-        digest = self._frontier_digest(key)
-        path = self._frontier_path(digest)
+    def _load(self, kind: "_EntryKind", parts: tuple) -> Optional[object]:
+        components, digest = self._components(kind, parts)
+        path = self._path(digest)
         if not path.is_file():
             return None
         try:
@@ -662,17 +706,14 @@ class WindowCompilationCache:
             not isinstance(data, dict)
             or data.get("format_version") != FRONTIER_FORMAT_VERSION
             or data.get("key") != digest
-            or data.get("net") != key[0]
-            or data.get("context") != key[1]
-            or data.get("library") != list(key[2])
-            or data.get("candidates") != list(key[3])
+            or any(data.get(name) != value for name, value in components.items())
         ):
             # Old format, or a file whose content does not belong to its
             # name (digest collision / tampering): evict and rebuild.
             self._evict_file(path)
             return None
         try:
-            result = dp_result_from_payload(data["result"])
+            result = kind.from_payload(data["result"])
         except (KeyError, TypeError, ValueError):  # structurally broken payload
             self._evict_file(path)
             return None
@@ -683,102 +724,21 @@ class WindowCompilationCache:
             pass
         return result
 
-    def _save_frontier(self, key: tuple, result: object) -> None:
-        """Persist a computed frontier (best-effort, atomic replace).
-
-        Only :class:`PowerDpResult` values are persisted — the layer is
-        generic in-memory, but the disk schema is not.
-        """
-        if not isinstance(result, PowerDpResult):
-            return
-        digest = self._frontier_digest(key)
-        path = self._frontier_path(digest)
-        payload = {
-            "format_version": FRONTIER_FORMAT_VERSION,
-            "key": digest,
-            "net": key[0],
-            "context": key[1],
-            "library": list(key[2]),
-            "candidates": list(key[3]),
-            "result": dp_result_to_payload(result),
-        }
+    def _save(self, kind: "_EntryKind", parts: tuple, result: object) -> None:
+        """Persist a computed entry (best-effort, atomic replace): the
+        ``kind`` tag, if any, follows ``format_version``, then ``key``."""
+        components, digest = self._components(kind, parts)
+        path = self._path(digest)
+        payload = {"format_version": FRONTIER_FORMAT_VERSION}
+        if kind.tag is not None:
+            payload["kind"] = components.pop("kind")
+        payload["key"] = digest
+        payload.update(components)
+        payload["result"] = kind.to_payload(result)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             # Per-process temp name: concurrent workers writing the same
             # (deterministic, identical) entry replace atomically.
-            tmp = path.with_suffix(f".tmp{os.getpid()}")
-            tmp.write_text(json.dumps(payload), encoding="utf-8")
-            tmp.replace(path)
-        except OSError:  # pragma: no cover - disk persistence is best-effort
-            return
-        self._budget.note_save(path, self._evict_file)
-
-    # ------------------------------------------------------------------ #
-    # persistent tree-solution tier (shares the frontier file namespace)
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _tree_digest(key: tuple) -> str:
-        return stable_digest(
-            {
-                "kind": "tree",
-                "tree": key[1],
-                "context": key[2],
-                "targets": list(key[3]),
-            }
-        )
-
-    def _load_tree_solutions(self, key: tuple) -> "Optional[list[TreeSolution]]":
-        digest = self._tree_digest(key)
-        path = self._frontier_path(digest)
-        if not path.is_file():
-            return None
-        try:
-            # Same corrupt-cache-read site as the two-pin frontier tier.
-            text = faults.maybe_corrupt(
-                "wincache.disk-read", path.read_text(encoding="utf-8")
-            )
-            data = json.loads(text)
-        except (OSError, ValueError):  # corrupted cache file
-            self._evict_file(path)
-            return None
-        if (
-            not isinstance(data, dict)
-            or data.get("format_version") != FRONTIER_FORMAT_VERSION
-            or data.get("kind") != "tree"
-            or data.get("key") != digest
-            or data.get("tree") != key[1]
-            or data.get("context") != key[2]
-            or data.get("targets") != list(key[3])
-        ):
-            self._evict_file(path)
-            return None
-        try:
-            result = tree_solutions_from_payload(data["result"])
-        except (KeyError, TypeError, ValueError):  # structurally broken payload
-            self._evict_file(path)
-            return None
-        try:
-            # Mark the file as recently used for the LRU disk budget.
-            os.utime(path)
-        except OSError:  # pragma: no cover - recency tracking is best-effort
-            pass
-        return result
-
-    def _save_tree_solutions(self, key: tuple, result: "list[TreeSolution]") -> None:
-        """Persist memoized tree solutions (best-effort, atomic replace)."""
-        digest = self._tree_digest(key)
-        path = self._frontier_path(digest)
-        payload = {
-            "format_version": FRONTIER_FORMAT_VERSION,
-            "kind": "tree",
-            "key": digest,
-            "tree": key[1],
-            "context": key[2],
-            "targets": list(key[3]),
-            "result": tree_solutions_to_payload(result),
-        }
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_suffix(f".tmp{os.getpid()}")
             tmp.write_text(json.dumps(payload), encoding="utf-8")
             tmp.replace(path)
@@ -814,6 +774,41 @@ class WindowCompilationCache:
                     continue
                 files += 1
         return (files, total)
+
+
+@dataclass(frozen=True)
+class _EntryKind:
+    """One kind of DP-memo entry: its file's ``kind`` tag, the names of its
+    key parts, the value type persisted and the payload codec."""
+
+    tag: Optional[str]
+    parts: Tuple[str, ...]
+    value_type: type
+    to_payload: Callable[[object], object]
+    from_payload: Callable[[object], object]
+
+
+_FRONTIER = _EntryKind(
+    None,
+    ("net", "context", "library", "candidates"),
+    PowerDpResult,
+    dp_result_to_payload,
+    dp_result_from_payload,
+)
+_TREE = _EntryKind(
+    "tree",
+    ("tree", "context", "targets"),
+    list,
+    tree_solutions_to_payload,
+    tree_solutions_from_payload,
+)
+_BASELINE = _EntryKind(
+    "baseline",
+    ("net", "context", "library", "candidates", "targets"),
+    BaselineAnswers,
+    _baseline_to_payload,
+    _baseline_from_payload,
+)
 
 
 def resolve_window_cache(

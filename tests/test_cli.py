@@ -120,6 +120,24 @@ def test_sweep_single_technology(tmp_path, capsys):
     assert all(record["technology"] == "cmos180" for record in records)
 
 
+def test_sweep_json_carries_window_cache_counters(tmp_path, capsys):
+    """A restart on the same --cache-dir answers dp-g40 from the baseline
+    memo's file; the JSON's counters show it and the records repeat."""
+    payloads = []
+    for run in ("cold", "warm"):
+        json_path = tmp_path / f"{run}.json"
+        assert main([
+            "sweep", "--nets", "1", "--targets", "3", "--methods", "dp-g40",
+            "--cache-dir", str(tmp_path / "cache"), "--json", str(json_path),
+        ]) == 0
+        payloads.append(json.loads(json_path.read_text()))
+    capsys.readouterr()
+    cold, warm = payloads
+    assert (cold["window_cache"]["disk_misses"], cold["window_cache"]["disk_hits"]) == (1, 0)
+    assert (warm["window_cache"]["disk_misses"], warm["window_cache"]["disk_hits"]) == (0, 1)
+    assert warm["records"] == cold["records"]  # runtime_seconds replayed too
+
+
 def test_sweep_multiple_technologies(tmp_path, capsys):
     json_path = tmp_path / "records.json"
     code = main([
@@ -188,7 +206,7 @@ def test_cache_reports_and_gcs_tiers(tmp_path, capsys):
     assert main(["cache", "--cache-dir", str(cache_dir)]) == 0
     out = capsys.readouterr().out
     assert "protocol store" in out
-    assert "final-DP frontiers" in out
+    assert "DP memo entries" in out
     assert "REFINE records" in out
 
     frontiers_before = len(list((cache_dir / "wincache").glob("frontier-*.json")))

@@ -179,6 +179,25 @@ def test_corrupt_cache_read_budget_is_per_call(monkeypatch):
         json.loads(first)  # corrupted payload is invalid JSON by design
 
 
+def test_corrupt_cache_read_budget_is_per_task_key(monkeypatch):
+    """Inside design tasks the budget restarts for every task key: each
+    net's first ``count`` reads are corrupted, not the process's first
+    ``count``.  Reads outside any task share one budget of their own."""
+    _inject(monkeypatch, "wincache.disk-read:corrupt-cache-read:2:9")
+    payload = '{"valid": true}'
+    corrupted = '{"repro-injected-corruption":9'
+
+    def reads(count):
+        return [faults.maybe_corrupt("wincache.disk-read", payload) for _ in range(count)]
+
+    for net in ("cmos180/net1", "cmos180/net2"):
+        with faults.task_context(net):
+            assert reads(3) == [corrupted, corrupted, payload]
+    with faults.task_context("cmos180/net1", attempt=2):
+        assert reads(1) == [payload]  # the key's budget, whatever the attempt
+    assert reads(3) == [corrupted, corrupted, payload]  # outside any task
+
+
 def test_switchboard_disabled_is_noop():
     assert not faults.enabled()
     faults.maybe_inject("design.case")
