@@ -132,7 +132,7 @@ def bench_kernels(store, protocol, technology, workers):
                 rip = Rip(
                     technology,
                     method.rip,
-                    dp=PowerAwareDp(technology, pruning=method.rip.pruning, core="staged"),
+                    dp=PowerAwareDp(technology, core="staged"),
                     width_solver=DualBisectionWidthSolver(technology, evaluator="walked"),
                     window_cache=False,
                 )

@@ -1,8 +1,8 @@
 """Shared configuration for the benchmark harness.
 
 Every benchmark reproduces one of the paper's tables/figures (or an ablation
-of a design choice in DESIGN.md).  By default the population is a reduced
-one (fewer nets / targets than the paper) so that
+of one of the repository's design choices).  By default the population is a
+reduced one (fewer nets / targets than the paper) so that
 ``pytest benchmarks/ --benchmark-only`` finishes in a few minutes; set the
 environment variable ``REPRO_FULL=1`` to run the paper-sized protocol
 (20 nets x 20 targets).

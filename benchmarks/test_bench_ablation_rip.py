@@ -1,4 +1,5 @@
-"""Ablation: RIP design choices (Section 6 of DESIGN.md).
+"""Ablation: RIP design choices (the paper's Section 6 defaults, as
+:class:`~repro.core.rip.RipConfig` documents them).
 
 Three knobs are swept, each against the same reduced net population:
 

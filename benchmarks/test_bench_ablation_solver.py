@@ -1,9 +1,11 @@
 """Ablation: continuous width solver (Lagrangian dual bisection vs. Newton KKT).
 
 The paper's REFINE pseudocode solves the KKT system with Newton-Raphson; the
-library's default is a dual-bisection/Gauss-Seidel solver (DESIGN.md Section
-3.3).  This benchmark times both on the same sizing problem and checks they
-agree on the optimal total width.
+library's default is a dual-bisection/Gauss-Seidel solver, which solves the
+stationarity condition per repeater for a fixed multiplier and bisects on
+the multiplier, so it has no convergence-basin issues (see
+:mod:`repro.analytical.width_solver`).  This benchmark times both on the
+same sizing problem and checks they agree on the optimal total width.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ Checks
   staged oracle core's pruning); tree fronts replay the plain-Python
   :func:`repro.utils.pareto.prune_pareto_3d` of the tree oracle core.
   Zero-tolerance replay is implied by the kernels' exclusive-min
-  semantics for every tolerance configuration, so a violation always
+  semantics at any pruning tolerances, so a violation always
   means a genuinely dominated state escaped pruning.
 * ``nan-guard`` — NaN/inf screening of kernel inputs/outputs (caps, delays,
   widths of every level front and the final delays).
@@ -152,11 +152,10 @@ def check_front_dominance(
     delays: np.ndarray,
     widths: np.ndarray,
     *,
-    strategy: str,
     width_tolerance: float,
     where: str,
 ) -> None:
-    """Replay the 3-D pruning kernels at zero tolerance over a surviving
+    """Replay both pruning stages at zero tolerance over a surviving
     front; any additional pruning means a dominated state escaped.
 
     The replay uses the original ``width_tolerance`` as the bucket quantum
@@ -186,19 +185,18 @@ def check_front_dominance(
             f"C={caps[dropped[0]]!r}, D={delays[dropped[0]]!r}, "
             f"W={widths[dropped[0]]!r})",
         )
-    if strategy == "full":
-        _count()
-        sub = cross_bucket_prune(
-            caps, delays, widths, delay_tolerance=0.0, width_tolerance=0.0
+    _count()
+    sub = cross_bucket_prune(
+        caps, delays, widths, delay_tolerance=0.0, width_tolerance=0.0
+    )
+    if len(sub) != count:
+        dropped = sorted(set(range(count)) - set(int(k) for k in sub))
+        _fail(
+            "dominance",
+            where,
+            f"front of {count} states contains {count - len(sub)} "
+            f"cross-bucket-dominated state(s) (e.g. index {dropped[0]})",
         )
-        if len(sub) != count:
-            dropped = sorted(set(range(count)) - set(int(k) for k in sub))
-            _fail(
-                "dominance",
-                where,
-                f"front of {count} states contains {count - len(sub)} "
-                f"cross-bucket-dominated state(s) (e.g. index {dropped[0]})",
-            )
 
 
 def check_tree_front_dominance(
@@ -318,7 +316,6 @@ def check_power_level(
     delays: np.ndarray,
     widths: np.ndarray,
     *,
-    strategy: str,
     width_tolerance: float,
     level: int,
     where: str,
@@ -328,12 +325,7 @@ def check_power_level(
     check_finite(site, caps=caps, delays=delays, widths=widths)
     check_scratch_views(site, caps=caps, delays=delays, widths=widths)
     check_front_dominance(
-        caps,
-        delays,
-        widths,
-        strategy=strategy,
-        width_tolerance=width_tolerance,
-        where=site,
+        caps, delays, widths, width_tolerance=width_tolerance, where=site
     )
 
 

@@ -100,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--dp-granularity",
         type=float,
         default=10.0,
-        help="width granularity (u) of the baseline DP library (scheme=dp)",
+        help="width granularity (u) of the baseline DP's 10..400u library "
+        "(scheme=dp; at most 64 widths, i.e. >= 6.2)",
     )
 
     evaluate = subparsers.add_parser("evaluate", help="evaluate an explicit solution")
@@ -439,6 +440,14 @@ def _print_solution(net, technology, solution: InsertionSolution, target: float)
 
 def _cmd_insert(args: argparse.Namespace) -> int:
     technology = get_node(args.technology)
+    if args.scheme == "dp":
+        # The sweep's parser checks the granularity and the library size
+        # before the library is built.
+        try:
+            (method,) = _parse_methods(f"dp-g{args.dp_granularity!r}")
+        except ValueError as error:
+            print(f"--dp-granularity: {error}", file=sys.stderr)
+            return 2
     net = load_net(args.net)
     print(net.describe())
     target = _resolve_target(args, technology, net)
@@ -453,10 +462,9 @@ def _cmd_insert(args: argparse.Namespace) -> int:
         )
         return 0 if result.feasible else 2
 
-    library = RepeaterLibrary.uniform(10.0, 400.0, args.dp_granularity)
     compiled = CompiledNet(net, uniform_candidates(net, 200.0e-6))
     (point,), statistics = PowerAwareDp(technology).run_many(
-        net, library, (target,), compiled=compiled
+        net, method.library, (target,), compiled=compiled
     )
     if point is None:
         print("the DP baseline found no solution meeting the target")
@@ -552,40 +560,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _parse_methods(spec: str):
-    from repro.engine.design import MethodSpec
+    # The service's parser: one set of method names and library caps.
+    from repro.service.schema import method_spec
 
-    methods = []
-    for entry in spec.split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
-        if entry == "rip":
-            methods.append(MethodSpec.rip_method())
-        elif entry.startswith("dp-g"):
-            try:
-                granularity = float(entry[len("dp-g"):])
-            except ValueError:
-                raise ValueError(f"malformed method {entry!r}; expected dp-g<granularity>")
-            methods.append(
-                MethodSpec.dp_baseline(
-                    entry, RepeaterLibrary.uniform(10.0, 400.0, granularity)
-                )
-            )
-        elif entry.startswith("tree-g"):
-            try:
-                granularity = float(entry[len("tree-g"):])
-            except ValueError:
-                raise ValueError(f"malformed method {entry!r}; expected tree-g<granularity>")
-            methods.append(
-                MethodSpec.tree_method(
-                    entry, RepeaterLibrary.uniform(20.0, 400.0, granularity)
-                )
-            )
-        else:
-            raise ValueError(
-                f"unknown method {entry!r}; use 'rip', 'dp-g<granularity>' "
-                "or 'tree-g<granularity>'"
-            )
+    methods = [
+        method_spec(entry.strip(), trees=True)
+        for entry in spec.split(",")
+        if entry.strip()
+    ]
     if not methods:
         raise ValueError("no methods given")
     names = [method.name for method in methods]

@@ -37,7 +37,6 @@ from repro.core.refine import (
 from repro.core.solution import InsertionSolution
 from repro.dp.candidates import merge_candidates, uniform_candidates, window_candidates
 from repro.dp.powerdp import PowerAwareDp, PowerDpResult
-from repro.dp.pruning import PruningConfig
 from repro.engine.wincache import (
     WindowCompilationCache,
     dp_context_fingerprint,
@@ -129,8 +128,6 @@ class RipConfig:
         Configuration of the embedded REFINE algorithm.  Byte-identical
         repeated REFINE queries are answered from the exact-hit
         :class:`~repro.core.refine.RefineMemo` outright.
-    pruning:
-        Dominance-pruning configuration of both DP passes.
     enable_fallback:
         When the final DP cannot meet the timing target with ``B``/``S``
         (rare, caused by rounding), merge the coarse library and coarse
@@ -144,7 +141,6 @@ class RipConfig:
     location_window: int = 10
     location_pitch: float = 50.0e-6
     refine: RefineConfig = field(default_factory=RefineConfig)
-    pruning: PruningConfig = field(default_factory=PruningConfig)
     enable_fallback: bool = True
 
     def __post_init__(self) -> None:
@@ -252,10 +248,13 @@ class Rip:
 
     ``dp`` and ``width_solver`` inject the oracles for whole-flow
     equivalence runs: a :class:`~repro.dp.powerdp.PowerAwareDp` for both DP
-    passes (default: the fused core with ``config.pruning``) and the width
-    solver of REFINE (default: the compiled
+    passes (default: the fused core at the default pruning tolerances) and
+    the width solver of REFINE (default: the compiled
     :class:`~repro.analytical.width_solver.DualBisectionWidthSolver`).
-    Cache keys do not tell an oracle from production, so oracle runs pass
+    The DP memo is keyed by the DP's own technology and
+    :attr:`~repro.dp.powerdp.PowerAwareDp.pruning`, so a DP injected with
+    other tolerances never shares frontiers with the default one.  Cache
+    keys do not tell an oracle core from production, so oracle runs pass
     ``window_cache=False``.
     """
 
@@ -270,7 +269,7 @@ class Rip:
     ) -> None:
         self._technology = technology
         self._config = config or RipConfig()
-        self._dp = dp or PowerAwareDp(technology, pruning=self._config.pruning)
+        self._dp = dp or PowerAwareDp(technology)
         self._refine = Refine(technology, width_solver, config=self._config.refine)
         self._window_cache = resolve_window_cache(window_cache)
         self._refine_memo = (
@@ -284,10 +283,10 @@ class Rip:
             technology, self._config.refine
         )
         # Everything a final-pass frontier depends on besides (net, library,
-        # candidates); scopes cache entries when the cache is shared across
-        # differently-configured inserters.
+        # candidates), read off the DP that computes it; scopes cache
+        # entries when the cache is shared across inserters.
         self._dp_context = (
-            dp_context_fingerprint(technology, self._config.pruning)
+            dp_context_fingerprint(self._dp.technology, self._dp.pruning)
             if self._window_cache is not None
             else ""
         )

@@ -42,6 +42,7 @@ from repro.engine.kernels import (
     _traverse_in_place,
     fused_level,
     shared_scratch,
+    width_quantum,
     within_width_bound,
 )
 from repro.net.twopin import TwoPinNet
@@ -218,6 +219,9 @@ class PowerAwareDp:
     ``"staged"`` keeps the per-level expand/prune passes on the vectorized
     pruning kernels as the fused core's oracle — **bit-for-bit** identical
     frontiers.  Only tests and benchmarks construct the oracle.
+    ``pruning`` sets the dominance tolerances (default
+    :class:`~repro.dp.pruning.PruningConfig`); it is the one place they can
+    be set, and only tests and benchmarks set them.
     ``scratch`` optionally pins a private
     :class:`~repro.engine.kernels.DpScratch` arena; by default the
     per-process shared arena is used (one per worker).
@@ -241,6 +245,11 @@ class PowerAwareDp:
     def technology(self) -> Technology:
         """Technology whose repeater constants the DP uses."""
         return self._technology
+
+    @property
+    def pruning(self) -> PruningConfig:
+        """The pruning tolerances this DP runs with; DP-memo keys use them."""
+        return self._pruning
 
     @property
     def core(self) -> str:
@@ -321,8 +330,9 @@ class PowerAwareDp:
            ``W_ub`` of its cheapest point meeting the tightest target bounds
            that target's optimum;
         2. the *bounded* run: the full library with ``width_bound = W_ub +
-           (L + 1) * r``, where ``L = compiled.num_levels``, ``q =
-           max(width_tolerance, 1e-12)`` and ``r = q + width_tolerance``.
+           (L + 1) * r``, where ``L = compiled.num_levels``, ``q`` is the
+           bucket quantum (:func:`~repro.engine.kernels.width_quantum`) and
+           ``r = q + width_tolerance``.
 
         One plain run replaces them when the stride leaves fewer than four
         widths (libraries of at most 12 widths, where the incumbent costs
@@ -372,7 +382,7 @@ class PowerAwareDp:
             point = incumbent.best_for_delay(tightest)
             if point is not None:
                 width_tolerance = self._pruning.width_tolerance
-                reach = max(width_tolerance, 1e-12) + width_tolerance
+                reach = width_quantum(width_tolerance) + width_tolerance
                 bounded = self.run(
                     net,
                     library,
@@ -483,7 +493,6 @@ class PowerAwareDp:
                     caps,
                     delays,
                     widths,
-                    strategy=self._pruning.strategy,
                     width_tolerance=self._pruning.width_tolerance,
                     level=level,
                     where=f"PowerAwareDp(staged) net {net.name!r}",
@@ -549,7 +558,6 @@ class PowerAwareDp:
         levels: List[_Level] = []
         states_generated = 1
         max_front = 1
-        full_strategy = pruning.strategy == "full"
 
         for level, position in enumerate(reversed(positions)):
             caps, delays, widths, keep, m, count = fused_level(
@@ -564,7 +572,6 @@ class PowerAwareDp:
                 intrinsic=intrinsic,
                 delay_tolerance=pruning.delay_tolerance,
                 width_tolerance=pruning.width_tolerance,
-                full_strategy=full_strategy,
                 width_bound=width_bound,
             )
             states_generated += m
@@ -578,7 +585,6 @@ class PowerAwareDp:
                     caps,
                     delays,
                     widths,
-                    strategy=pruning.strategy,
                     width_tolerance=pruning.width_tolerance,
                     level=level,
                     where=f"PowerAwareDp(fused) net {net.name!r}",

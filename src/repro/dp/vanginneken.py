@@ -17,19 +17,23 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis import sanitize
-from repro.dp.pruning import prune_two_dimensional
+from repro.dp.pruning import PruningConfig
 from repro.dp.state import DpSolution
 from repro.engine.compiled import CompiledNet
 from repro.engine.kernels import (
     DpScratch,
     _traverse_in_place,
     fused_level_2d,
+    pareto_two_dimensional,
     shared_scratch,
 )
 from repro.net.twopin import TwoPinNet
 from repro.tech.library import RepeaterLibrary
 from repro.tech.technology import Technology
 from repro.utils.validation import require
+
+#: The ``(C, D)`` pruning's delay tolerance: the power-aware DP's default.
+_DELAY_TOLERANCE = PruningConfig().delay_tolerance
 
 
 @dataclass
@@ -45,7 +49,7 @@ class DelayOptimalDp:
     ``core`` follows the power-aware DP: ``"fused"`` (default) runs each
     level as one :func:`repro.engine.kernels.fused_level_2d` call on the
     process-shared scratch arena; ``"staged"`` keeps the per-level passes
-    on :func:`repro.dp.pruning.prune_two_dimensional` as the oracle
+    on :func:`repro.engine.kernels.pareto_two_dimensional` as the oracle
     (bit-for-bit identical solutions).
     """
 
@@ -53,13 +57,11 @@ class DelayOptimalDp:
         self,
         technology: Technology,
         *,
-        delay_tolerance: float = 1.0e-14,
         core: str = "fused",
         scratch: Optional[DpScratch] = None,
     ) -> None:
         require(core in ("fused", "staged"), f"unknown DP core {core!r}")
         self._technology = technology
-        self._delay_tolerance = delay_tolerance
         self._core = core
         self._scratch = scratch
 
@@ -119,7 +121,7 @@ class DelayOptimalDp:
                     ratio_lut=ratio_lut,
                     width_lut=library_widths,
                     intrinsic=intrinsic,
-                    delay_tolerance=self._delay_tolerance,
+                    delay_tolerance=_DELAY_TOLERANCE,
                 )
                 levels.append(
                     _Level(
@@ -163,8 +165,8 @@ class DelayOptimalDp:
                     new_parents[lo:hi] = back
                     new_decisions[lo:hi] = width
 
-                keep = prune_two_dimensional(
-                    new_caps, new_delays, delay_tolerance=self._delay_tolerance
+                keep = pareto_two_dimensional(
+                    new_caps, new_delays, delay_tolerance=_DELAY_TOLERANCE
                 )
                 caps = new_caps[keep]
                 delays = new_delays[keep]

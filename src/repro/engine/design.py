@@ -71,7 +71,6 @@ from repro.analysis import faults, sanitize
 from repro.analysis.sanitize import SanitizerStatistics
 from repro.core.rip import InfeasibleNetError, Rip, RipConfig
 from repro.dp.powerdp import PowerAwareDp
-from repro.dp.pruning import PruningConfig
 from repro.engine.cache import (
     NetCase,
     ProtocolConfig,
@@ -482,7 +481,6 @@ class _Task:
     targets: Tuple[float, ...]
     technology: Technology
     rip_config: RipConfig
-    pruning: PruningConfig
     window_cache: Optional[WindowCompilationCache]
     compiled: Optional[CompiledNet] = None
     compile_seconds: float = 0.0
@@ -521,6 +519,11 @@ def _design_dp(spec: MethodSpec, task: _Task) -> Tuple[float, int, List[Dict[str
     cache's memoized baseline answers when caching is on.  A memo hit
     replays the runtime and states of the run that computed the answers."""
     case = task.case
+    # The fused core draws its scratch arena from the per-worker process
+    # singleton (``kernels.shared_scratch``): within one worker every dp
+    # method, net task and RIP pass reuses the same buffers; worker
+    # processes each grow their own.
+    dp = PowerAwareDp(task.technology)
 
     def run() -> BaselineAnswers:
         if task.compiled is None:
@@ -532,11 +535,6 @@ def _design_dp(spec: MethodSpec, task: _Task) -> Tuple[float, int, List[Dict[str
                 else CompiledNet(case.net, case.candidates)
             )
             task.compile_seconds = time.perf_counter() - compile_started
-        # The fused core draws its scratch arena from the per-worker
-        # process singleton (``kernels.shared_scratch``): within one
-        # worker every dp method, net task and RIP pass reuses the
-        # same buffers; worker processes each grow their own.
-        dp = PowerAwareDp(task.technology, pruning=task.pruning)
         run_started = time.perf_counter()
         points, statistics = dp.run_many(
             case.net, spec.library, task.targets, compiled=task.compiled
@@ -550,7 +548,7 @@ def _design_dp(spec: MethodSpec, task: _Task) -> Tuple[float, int, List[Dict[str
     if task.window_cache is not None:
         answers = task.window_cache.baseline_answers(
             case.net,
-            dp_context_fingerprint(task.technology, task.pruning),
+            dp_context_fingerprint(dp.technology, dp.pruning),
             spec.library.widths,
             case.candidates,
             task.targets,
@@ -577,8 +575,7 @@ def _tree_dp_context(technology: Technology, spec: MethodSpec, case: TreeCase) -
     Exactly what :class:`~repro.tree.buffering.TreePowerDp` reads: the
     technology constants, the method's library and the case's site pitch
     and state cap.  The tree DP never reads the two-pin
-    :class:`~repro.dp.pruning.PruningConfig`, so engines that differ only
-    in two-pin pruning share tree-solution entries.
+    :class:`~repro.dp.pruning.PruningConfig`, so the key leaves it out.
     """
     return stable_digest(
         {
@@ -675,7 +672,6 @@ def _design_case(
     targets: Optional[TargetSpec],
     technology: Technology,
     rip_config: RipConfig,
-    pruning: PruningConfig,
     window_cache: Optional[WindowCompilationCache],
 ) -> NetDesignResult:
     """Design one population entry with every method of its class.
@@ -686,7 +682,7 @@ def _design_case(
     hands each method to its kind's function in :data:`_METHOD_KINDS`.
     """
     resolved = _case_targets(case, targets)
-    task = _Task(case, resolved, technology, rip_config, pruning, window_cache)
+    task = _Task(case, resolved, technology, rip_config, window_cache)
     name = _case_name(case)
     records: List[DesignRecord] = []
     method_runtimes: Dict[str, float] = {}
@@ -861,7 +857,6 @@ def _design_case_payload(payload, attempt: int = 1) -> NetDesignResult:
         targets,
         technology,
         rip_config,
-        pruning,
         cache_spec,
         task_key,
     ) = payload
@@ -877,7 +872,6 @@ def _design_case_payload(payload, attempt: int = 1) -> NetDesignResult:
                 targets,
                 technology,
                 rip_config,
-                pruning,
                 _attach_window_cache(cache_spec),
             )
     except Exception as infrastructure_error:
@@ -907,14 +901,13 @@ def _sweep_components(
     methods: Sequence[MethodSpec],
     targets: Optional[TargetSpec],
     rip_config: RipConfig,
-    pruning: PruningConfig,
 ) -> Dict[str, Any]:
     """The full sweep identity a :class:`SweepJournal` is keyed by.
 
     Covers everything a sweep's records are a function of — population
     fingerprints (net/tree geometry, tau_min, per-case targets), the swept
     technologies' constants, the method list (libraries, per-method RIP
-    overrides) and the engine's RIP/pruning configuration — so a journal
+    overrides) and the engine's RIP configuration — so a journal
     can never replay results into a differently-configured sweep.
     """
     technologies: Dict[str, Any] = {}
@@ -955,7 +948,6 @@ def _sweep_components(
         ],
         "targets": asdict(targets) if targets is not None else None,
         "rip_config": asdict(rip_config),
-        "pruning": asdict(pruning),
     }
 
 
@@ -1010,7 +1002,6 @@ class DesignEngine:
         technology: Technology,
         *,
         rip_config: Optional[RipConfig] = None,
-        pruning: Optional[PruningConfig] = None,
         workers: int = 0,
         store: Optional[ProtocolStore] = None,
         window_cache: bool = True,
@@ -1024,7 +1015,6 @@ class DesignEngine:
             require_positive(task_timeout_s, "task_timeout_s")
         self._technology = technology
         self._rip_config = rip_config or RipConfig()
-        self._pruning = pruning or self._rip_config.pruning
         self._workers = workers
         self._task_timeout_s = task_timeout_s
         self._retry = retry if retry is not None else RetryPolicy()
@@ -1225,7 +1215,6 @@ class DesignEngine:
                 targets,
                 jobs[index][0],
                 self._rip_config,
-                self._pruning,
                 spec,
                 job_keys[index],
             )
@@ -1383,9 +1372,7 @@ class DesignEngine:
             )
             journal = SweepJournal(
                 directory,
-                _sweep_components(
-                    jobs, method_tuple, targets, self._rip_config, self._pruning
-                ),
+                _sweep_components(jobs, method_tuple, targets, self._rip_config),
             )
             entries = journal.begin(resume=resume)
             for index, task_key in enumerate(job_keys):
@@ -1412,7 +1399,6 @@ class DesignEngine:
                             targets,
                             job_technology,
                             self._rip_config,
-                            self._pruning,
                             shared,
                         )
                     if journal is not None:

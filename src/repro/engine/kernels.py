@@ -66,6 +66,7 @@ __all__ = [
     "tree_merge_level",
     "tree_prune_front",
     "tree_site_level",
+    "width_quantum",
     "within_width_bound",
 ]
 
@@ -124,6 +125,16 @@ def pareto_two_dimensional(
     return order[delays_sorted < exclusive - delay_tolerance]
 
 
+def width_quantum(width_tolerance: float) -> float:
+    """The width span of one pruning bucket: ``width_tolerance``, floored
+    at ``1e-12`` so a zero tolerance still gives finite bucket keys.
+
+    Every width-bucket key (``rint(width / quantum)``) of the staged and
+    fused cores and of the width bound derives from this one quantum.
+    """
+    return max(width_tolerance, 1e-12)
+
+
 def bucket_prune(
     caps: np.ndarray,
     delays: np.ndarray,
@@ -134,7 +145,7 @@ def bucket_prune(
 ) -> np.ndarray:
     """Per-width-bucket 2-D pruning with no per-bucket Python loop.
 
-    Widths are quantised to ``width_tolerance`` buckets, and inside every
+    Widths are quantised to :func:`width_quantum` buckets, and inside every
     bucket the ``(C, D)`` Pareto scan of :func:`pareto_two_dimensional` is
     applied.  All buckets are scanned simultaneously with
     ``np.minimum.accumulate`` restarted at the group boundaries (segmented
@@ -143,7 +154,7 @@ def bucket_prune(
     n = len(caps)
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    quantum = max(width_tolerance, 1e-12)
+    quantum = width_quantum(width_tolerance)
     keys = np.round(widths / quantum).astype(np.int64)
     order = np.lexsort((delays, caps, keys))
     keys_sorted = keys[order]
@@ -404,7 +415,7 @@ def _fused_bucket_prune(
     delays = scratch.exp_delays[:m]
     widths = scratch.exp_widths[:m]
 
-    quantum = max(width_tolerance, 1e-12)
+    quantum = width_quantum(width_tolerance)
     keys_f = scratch.f_b[:m]
     np.divide(widths, quantum, out=keys_f)
     np.rint(keys_f, out=keys_f)
@@ -573,7 +584,7 @@ def _reduce_branches(
     if branches <= 1 or count <= 8:
         return None
     lc = (branches - 1) * count
-    quantum = max(width_tolerance, 1e-12)
+    quantum = width_quantum(width_tolerance)
 
     order_by_width = np.argsort(widths, kind="stable")
     widths_by_width = scratch.f_b[:count]
@@ -658,7 +669,7 @@ def within_width_bound(
     this mask as it stands; :func:`_drop_wider_buckets` replays it on
     scratch buffers.
     """
-    quantum = max(width_tolerance, 1e-12)
+    quantum = width_quantum(width_tolerance)
     return np.rint(widths / quantum) <= np.rint(width_bound / quantum)
 
 
@@ -678,7 +689,7 @@ def _drop_wider_buckets(
     (``flat`` unchanged when nothing is dropped; ``None`` stands for the
     identity of a full expansion).
     """
-    quantum = max(width_tolerance, 1e-12)
+    quantum = width_quantum(width_tolerance)
     keys = scratch.f_a[:rows]
     np.divide(scratch.exp_widths[:rows], quantum, out=keys)
     np.rint(keys, out=keys)
@@ -709,7 +720,6 @@ def fused_level(
     intrinsic: float,
     delay_tolerance: float,
     width_tolerance: float,
-    full_strategy: bool,
     width_bound: Optional[float] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
     """One fused power-aware DP level: traverse, expand, dominance-prune.
@@ -780,7 +790,7 @@ def fused_level(
     keep = _fused_bucket_prune(
         scratch, rows, delay_tolerance=delay_tolerance, width_tolerance=width_tolerance
     )
-    if full_strategy and len(keep) > 1:
+    if len(keep) > 1:
         sub = _fused_cross_prune(
             scratch, keep, delay_tolerance=delay_tolerance, width_tolerance=width_tolerance
         )

@@ -23,7 +23,7 @@ layers and one **DP memo** (plus REFINE's exact-hit memo, see below):
   and final **frontiers** (:meth:`~WindowCompilationCache.final_dp_result`)
   are keyed by ``(net fingerprint, dp context, library widths, candidate
   grid)``, where the *dp context* fingerprints the technology constants
-  and pruning configuration; adjacent targets that refine to the same
+  and the DP's pruning tolerances; adjacent targets that refine to the same
   library and window share one final DP.  **Tree solutions**
   (:meth:`~WindowCompilationCache.tree_solutions`) are keyed by ``(tree
   fingerprint, tree-DP context, targets)``, and a ``dp-g*`` method's
@@ -157,10 +157,12 @@ def tree_fingerprint(tree: RoutingTree) -> str:
 def dp_context_fingerprint(technology, pruning) -> str:
     """Fingerprint of everything *besides* (net, library, candidates) a
     power-aware DP result depends on: the technology constants and the
-    pruning configuration.  Every pruning field joins the key, because
-    strategies and tolerances change which states survive.  Oracle cores
-    and evaluators are bit-identical to production and are not product
-    settings, so they do not join it; oracle runs bypass the cache."""
+    pruning tolerances of the DP that computes it (its
+    :attr:`~repro.dp.powerdp.PowerAwareDp.pruning`).  Every pruning field
+    joins the key, because the tolerances change which states survive.
+    Oracle cores and evaluators are bit-identical to production and are not
+    product settings, so they do not join it; oracle runs bypass the
+    cache."""
     from repro.engine.cache import technology_fingerprint  # heavy module; defer
 
     return stable_digest(
@@ -575,7 +577,7 @@ class WindowCompilationCache:
 
         ``context`` must fingerprint every DP input besides the key's own
         components — use :func:`dp_context_fingerprint` for the technology
-        and pruning configuration.  A frontier run is deterministic given
+        and the DP's pruning tolerances.  A frontier run is deterministic given
         ``(net, context, library, candidates)``, so a hit returns a result
         bit-for-bit equal to what ``factory()`` would recompute; on a hit
         the factory (and hence the whole DP run) is skipped.  Only

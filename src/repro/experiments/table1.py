@@ -174,10 +174,7 @@ def run_table1(
 
     if engine is None:
         engine = DesignEngine(
-            config.protocol.technology,
-            rip_config=config.rip,
-            pruning=config.rip.pruning,
-            workers=workers,
+            config.protocol.technology, rip_config=config.rip, workers=workers
         )
     cases = ExperimentProtocol(config.protocol, store=engine.store).cases()
     population = engine.design_population(cases, table1_methods(config))

@@ -97,10 +97,7 @@ def run_table2(
 
     if engine is None:
         engine = DesignEngine(
-            config.protocol.technology,
-            rip_config=config.rip,
-            pruning=config.rip.pruning,
-            workers=workers,
+            config.protocol.technology, rip_config=config.rip, workers=workers
         )
     cases = ExperimentProtocol(config.protocol, store=engine.store).cases()
 

@@ -28,6 +28,7 @@ workload (``rip sweep --population htree``).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Tuple
@@ -42,6 +43,7 @@ from repro.utils.canonical import CanonicalizationError, stable_digest
 
 __all__ = [
     "DesignRequest",
+    "MAX_LIBRARY_WIDTHS",
     "MAX_METHODS",
     "MAX_TARGETS",
     "RequestError",
@@ -53,6 +55,9 @@ __all__ = [
 #: Hard caps keeping one request from monopolizing the batcher.
 MAX_TARGETS = 256
 MAX_METHODS = 8
+#: Widths of the largest uniform library a ``dp-g``/``tree-g`` method name
+#: may ask for: ``dp-g10`` has 40, and every granularity >= 6.2u fits.
+MAX_LIBRARY_WIDTHS = 64
 
 #: Tenant names become cache directory names, so they are restricted to a
 #: safe slug (no separators, no dot-dot, bounded length).
@@ -85,26 +90,50 @@ class DesignRequest:
         return tuple(method_spec(name) for name in self.method_names)
 
 
-def method_spec(name: str) -> MethodSpec:
-    """Resolve a wire method name to a :class:`MethodSpec`.
+def method_spec(name: str, *, trees: bool = False) -> MethodSpec:
+    """Resolve a method name to a :class:`MethodSpec`.
 
     ``"rip"`` is the hybrid flow; ``"dp-g<granularity>"`` is the baseline
-    power-aware DP with a 10..400u library at that granularity — the same
-    names ``rip sweep --methods`` accepts.
+    power-aware DP with a 10..400u library at that granularity.  With
+    ``trees`` (``rip sweep --methods``), ``"tree-g<granularity>"`` is the
+    tree DP with a 20..400u library; the wire serves two-pin methods only.
+    Raises :class:`RequestError` for any other name.
     """
     if name == "rip":
         return MethodSpec.rip_method()
     if name.startswith("dp-g"):
-        try:
-            granularity = float(name[len("dp-g"):])
-        except ValueError:
-            raise RequestError(f"malformed method {name!r}; expected dp-g<granularity>")
-        if not granularity > 0.0:
-            raise RequestError(f"method {name!r} needs a positive granularity")
-        return MethodSpec.dp_baseline(
-            name, RepeaterLibrary.uniform(10.0, 400.0, granularity)
+        return MethodSpec.dp_baseline(name, _uniform_library(name, "dp-g", 10.0))
+    if trees and name.startswith("tree-g"):
+        return MethodSpec.tree_method(name, _uniform_library(name, "tree-g", 20.0))
+    known = (
+        "'rip', 'dp-g<granularity>' or 'tree-g<granularity>'"
+        if trees
+        else "'rip' or 'dp-g<granularity>'"
+    )
+    raise RequestError(f"unknown method {name!r}; use {known}")
+
+
+def _uniform_library(name: str, prefix: str, min_width: float) -> RepeaterLibrary:
+    """The ``min_width..400u`` library a ``<prefix><granularity>`` name asks for.
+
+    The granularity must be finite and positive, and the library may hold
+    at most :data:`MAX_LIBRARY_WIDTHS` widths.  The widths are counted as
+    :meth:`RepeaterLibrary.uniform` counts them (its loop runs to
+    ``max_width * (1 + 1e-12)``), so a library too large is never built.
+    """
+    try:
+        granularity = float(name[len(prefix):])
+    except ValueError:
+        raise RequestError(f"malformed method {name!r}; expected {prefix}<granularity>")
+    if not (granularity > 0.0 and math.isfinite(granularity)):
+        raise RequestError(f"method {name!r} needs a finite positive granularity")
+    widths = (400.0 * (1.0 + 1e-12) - min_width) // granularity + 1
+    if widths > MAX_LIBRARY_WIDTHS:
+        raise RequestError(
+            f"method {name!r} asks for a library of {widths:g} widths; "
+            f"at most {MAX_LIBRARY_WIDTHS} are allowed"
         )
-    raise RequestError(f"unknown method {name!r}; use 'rip' or 'dp-g<granularity>'")
+    return RepeaterLibrary.uniform(min_width, 400.0, granularity)
 
 
 def _finite_positive(value: Any, what: str) -> float:

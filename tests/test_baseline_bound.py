@@ -3,7 +3,7 @@
 ``run_many`` answers every target from a run bounded by a sub-library
 incumbent.  Its answers must equal those of a plain ``run`` +
 ``best_for_delay`` target by target (width, delay, positions, widths),
-across seeds, libraries, both pruning strategies and tolerances.  Under a
+across seeds, libraries and pruning tolerances.  Under a
 bound, the fused core must still equal its staged oracle bit for bit.  Every
 fallback to a plain run is exercised, and so is the sanitizer's replay.
 """
@@ -19,6 +19,7 @@ from repro.dp.powerdp import PowerAwareDp
 from repro.dp.pruning import PruningConfig
 from repro.engine.cache import ProtocolConfig, ProtocolStore
 from repro.engine.compiled import CompiledNet
+from repro.engine.kernels import width_quantum
 from repro.tech.library import RepeaterLibrary
 from repro.tech.nodes import NODE_180NM
 
@@ -81,6 +82,11 @@ def _statistics_signature(result):
     return (stats.num_candidates, stats.library_size, stats.states_generated, stats.max_front_size)
 
 
+def _case_ids(cases):
+    """``full-<parameters>``: every case runs the full dominance rule."""
+    return ["-".join(["full", *map(str, case)]) for case in cases]
+
+
 def _record_runs(monkeypatch):
     """Record ``(library size, width_bound)`` of every ``PowerAwareDp.run``."""
     calls = []
@@ -94,37 +100,33 @@ def _record_runs(monkeypatch):
     return calls
 
 
+RUN_MANY_CASES = [
+    ("g10", 1e-9, 1e-14),
+    ("g10", 0.0, 2e-12),
+    ("g10", 15.0, 1e-14),
+    ("g10", 15.0, 2e-12),
+    ("g20", 1e-9, 1e-14),
+    ("g20", 5.0, 2e-12),
+    ("g30", 0.0, 1e-14),
+    ("g30", 0.0, 2e-12),
+    ("g40", 15.0, 2e-12),
+    ("nonint40", 1e-9, 2e-12),
+    ("nonint40", 5.0, 1e-14),
+    ("nonint40", 15.0, 2e-12),
+]
+
+
 @pytest.mark.parametrize(
-    "strategy, library, width_tolerance, delay_tolerance",
-    [
-        ("full", "g10", 1e-9, 1e-14),
-        ("full", "g10", 0.0, 2e-12),
-        ("full", "g10", 15.0, 1e-14),
-        ("full", "g20", 5.0, 2e-12),
-        ("full", "g30", 0.0, 1e-14),
-        ("full", "g40", 15.0, 2e-12),
-        ("full", "nonint40", 1e-9, 2e-12),
-        ("full", "nonint40", 5.0, 1e-14),
-        ("full", "nonint40", 15.0, 2e-12),
-        # The bucket-only strategy keeps huge fronts at small tolerances,
-        # so those run on the coarser libraries only (cost, not coverage).
-        ("bucket", "g20", 1e-9, 1e-14),
-        ("bucket", "g30", 0.0, 2e-12),
-        ("bucket", "g10", 15.0, 2e-12),
-        ("bucket", "nonint40", 5.0, 1e-14),
-    ],
+    "library, width_tolerance, delay_tolerance",
+    RUN_MANY_CASES,
+    ids=_case_ids(RUN_MANY_CASES),
 )
-def test_run_many_equals_plain_run(
-    cases, strategy, library, width_tolerance, delay_tolerance
-):
+def test_run_many_equals_plain_run(cases, library, width_tolerance, delay_tolerance):
     pruning = PruningConfig(
-        strategy=strategy,
-        delay_tolerance=delay_tolerance,
-        width_tolerance=width_tolerance,
+        delay_tolerance=delay_tolerance, width_tolerance=width_tolerance
     )
     dp = PowerAwareDp(NODE_180NM, pruning=pruning)
-    # Bucket-only fronts are large: one net per seed.
-    for case in cases if strategy == "full" else cases[::2]:
+    for case in cases:
         compiled = CompiledNet(case.net, case.candidates)
         plain = dp.run(case.net, LIBRARIES[library], compiled=compiled)
         answers, statistics = dp.run_many(
@@ -137,18 +139,20 @@ def test_run_many_equals_plain_run(
         assert statistics.library_size == plain.statistics.library_size
 
 
+BOUNDED_CASES = [("g20", 15.0), ("g30", 30.0), ("nonint40", 1e-9)]
+
+
 @pytest.mark.parametrize(
-    "strategy, library, width_tolerance",
-    [("full", "g20", 15.0), ("full", "nonint40", 1e-9), ("bucket", "g30", 30.0)],
+    "library, width_tolerance", BOUNDED_CASES, ids=_case_ids(BOUNDED_CASES)
 )
-def test_bounded_fused_equals_bounded_staged(cases, strategy, library, width_tolerance):
+def test_bounded_fused_equals_bounded_staged(cases, library, width_tolerance):
     """The bounds fall inside a width bucket.  A mask that split the bucket
     would let the fused core's branch reduction drop a state that the
     staged core keeps; these configurations catch that."""
-    pruning = PruningConfig(strategy=strategy, width_tolerance=width_tolerance)
+    pruning = PruningConfig(width_tolerance=width_tolerance)
     fused = PowerAwareDp(NODE_180NM, pruning=pruning, core="fused")
     staged = PowerAwareDp(NODE_180NM, pruning=pruning, core="staged")
-    quantum = max(width_tolerance, 1e-12)
+    quantum = width_quantum(width_tolerance)
     for case in cases:
         compiled = CompiledNet(case.net, case.candidates)
         plain = fused.run(case.net, LIBRARIES[library], compiled=compiled)

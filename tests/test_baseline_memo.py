@@ -18,6 +18,7 @@ solutions, through the same keyed-memo path and disk tier.  Covers:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 
 import pytest
@@ -212,12 +213,14 @@ def test_any_key_part_change_misses(tiny_cases, tmp_path, part):
     assert len(_files(tmp_path)) == 2
 
 
-def test_engine_keys_by_its_pruning_and_technology(tiny_cases, tech, tmp_path):
-    def disk_hits(**engine_kwargs):
-        technology = engine_kwargs.pop("technology", tech)
-        engine = DesignEngine(
-            tech, workers=0, store=ProtocolStore(cache_dir=tmp_path), **engine_kwargs
-        )
+def test_engine_keys_by_its_pruning_and_technology(
+    tiny_cases, tech, tmp_path, monkeypatch
+):
+    """The engine keys each baseline by the DP that computes it.  No
+    setting builds a DP at other tolerances, so the test swaps one in."""
+
+    def disk_hits(technology=tech):
+        engine = DesignEngine(tech, workers=0, store=ProtocolStore(cache_dir=tmp_path))
         try:
             result = engine.design_population(
                 tiny_cases[:1], [DP_G40], technology=technology
@@ -228,8 +231,13 @@ def test_engine_keys_by_its_pruning_and_technology(tiny_cases, tech, tmp_path):
 
     assert disk_hits() == 0
     assert disk_hits() == 1
-    assert disk_hits(pruning=PruningConfig(width_tolerance=5.0)) == 0
     assert disk_hits(technology=NODE_90NM) == 0
+    monkeypatch.setattr(
+        design_module,
+        "PowerAwareDp",
+        functools.partial(PowerAwareDp, pruning=PruningConfig(width_tolerance=5.0)),
+    )
+    assert disk_hits() == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -357,7 +365,6 @@ def test_table2_rerun_replays_dp_runtimes_without_dp_runs(tmp_path, monkeypatch)
         engine = DesignEngine(
             config.protocol.technology,
             rip_config=config.rip,
-            pruning=config.rip.pruning,
             store=ProtocolStore(cache_dir=tmp_path),
         )
         try:

@@ -57,6 +57,21 @@ def test_insert_dp_scheme(tmp_path, capsys):
     assert "DP runtime" in captured.out
 
 
+@pytest.mark.parametrize(
+    "granularity, fragment",
+    [("inf", "finite positive granularity"), ("1", "library of 391 widths")],
+)
+def test_insert_dp_rejects_bad_granularity(tmp_path, capsys, granularity, fragment):
+    path = tmp_path / "net.json"
+    main(["generate-net", str(path), "--seed", "8"])
+    capsys.readouterr()
+    code = main(["insert", str(path), "--scheme", "dp", "--dp-granularity", granularity])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert fragment in captured.err
+    assert captured.out == ""
+
+
 def test_insert_with_explicit_target(tmp_path, capsys):
     path = tmp_path / "net.json"
     main(["generate-net", str(path), "--seed", "8"])
@@ -172,6 +187,20 @@ def test_sweep_htree_population(tmp_path, capsys):
     code = main(["sweep", "--population", "htree", "--tech", "cmos90"])
     assert code == 2
     assert "does not batch multiple --tech nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "methods, fragment",
+    [
+        ("dp-g1", "library of 391 widths"),
+        ("tree-g1e400", "finite positive granularity"),
+        ("dp-gx", "malformed method"),
+        ("rip,rip", "duplicate methods"),
+    ],
+)
+def test_sweep_rejects_bad_methods_before_designing(capsys, methods, fragment):
+    assert main(["sweep", "--nets", "1", "--targets", "2", "--methods", methods]) == 2
+    assert fragment in capsys.readouterr().err
 
 
 def test_sweep_rejects_unknown_technology():

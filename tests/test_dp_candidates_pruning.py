@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.dp.candidates import merge_candidates, uniform_candidates, window_candidates
-from repro.dp.pruning import PruningConfig, prune_states, prune_two_dimensional
+from repro.dp.pruning import PruningConfig, prune_states
+from repro.engine import kernels
 from repro.utils.units import from_microns
 from repro.utils.validation import ValidationError
 
@@ -119,13 +120,21 @@ def test_prune_states_removes_dominated():
 
 
 def test_prune_states_full_not_weaker_than_bucket():
+    """The full rule keeps a subset of its first (per-bucket) stage."""
     rng = np.random.default_rng(0)
     caps = rng.uniform(1e-15, 1e-12, 300)
     delays = rng.uniform(1e-12, 1e-9, 300)
     widths = rng.choice([10.0, 20.0, 30.0, 40.0], 300).astype(float)
-    full = prune_states(caps, delays, widths, PruningConfig(strategy="full"))
-    bucket = prune_states(caps, delays, widths, PruningConfig(strategy="bucket"))
-    assert len(full) <= len(bucket)
+    config = PruningConfig()
+    full = prune_states(caps, delays, widths, config)
+    bucket = kernels.bucket_prune(
+        caps,
+        delays,
+        widths,
+        delay_tolerance=config.delay_tolerance,
+        width_tolerance=config.width_tolerance,
+    )
+    assert len(full) < len(bucket)
     # every full survivor must also survive bucket pruning
     assert set(full.tolist()) <= set(bucket.tolist())
 
@@ -154,15 +163,17 @@ def test_prune_states_identical_states_collapse():
     assert len(prune_states(caps, delays, widths, PruningConfig())) == 1
 
 
-def test_pruning_config_rejects_unknown_strategy():
+def test_pruning_config_rejects_negative_tolerances():
     with pytest.raises(ValidationError):
-        PruningConfig(strategy="magic")
+        PruningConfig(delay_tolerance=-1e-15)
+    with pytest.raises(ValidationError):
+        PruningConfig(width_tolerance=-1.0)
 
 
 def test_prune_two_dimensional_is_pareto():
     caps = np.array([1.0, 2.0, 3.0, 1.5])
     delays = np.array([4.0, 3.0, 1.0, 5.0])
-    kept = prune_two_dimensional(caps, delays)
+    kept = kernels.pareto_two_dimensional(caps, delays, delay_tolerance=1e-14)
     kept_set = {(caps[i], delays[i]) for i in kept}
     assert (1.5, 5.0) not in kept_set  # dominated by (1.0, 4.0)
     assert (1.0, 4.0) in kept_set

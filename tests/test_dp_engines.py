@@ -13,7 +13,6 @@ from repro.delay.elmore import buffered_net_delay, unbuffered_net_delay
 from repro.dp.candidates import uniform_candidates
 from repro.dp.frontier import DelayWidthFrontier, FrontierPoint
 from repro.dp.powerdp import PowerAwareDp
-from repro.dp.pruning import PruningConfig
 from repro.dp.state import BufferAssignment, DpSolution
 from repro.dp.vanginneken import DelayOptimalDp
 from repro.tech.library import RepeaterLibrary
@@ -121,21 +120,6 @@ def test_power_dp_illegal_candidates_are_dropped(tech, zoned_net):
     # All provided candidates are illegal, so only the unbuffered solution exists.
     assert len(result.frontier) == 1
     assert result.frontier.points[0].total_width == 0.0
-
-
-def test_power_dp_bucket_and_full_pruning_agree_on_optimum(tech, small_net):
-    library = RepeaterLibrary.uniform(40.0, 200.0, 40.0)
-    candidates = uniform_candidates(small_net, from_microns(500.0))
-    full = PowerAwareDp(tech, pruning=PruningConfig(strategy="full")).run(
-        small_net, library, candidates
-    )
-    bucket = PowerAwareDp(tech, pruning=PruningConfig(strategy="bucket")).run(
-        small_net, library, candidates
-    )
-    target = 1.3 * full.min_delay()
-    assert full.best_for_delay(target).total_width == pytest.approx(
-        bucket.best_for_delay(target).total_width
-    )
 
 
 def test_power_dp_statistics_populated(tech, small_net):

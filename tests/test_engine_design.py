@@ -242,7 +242,7 @@ def test_engine_records_match_hand_rolled_loop(tiny_cases, tech):
     population = engine.design_population(tiny_cases, methods)
 
     rip = Rip(tech, rip_config)
-    dp = PowerAwareDp(tech, pruning=rip_config.pruning)
+    dp = PowerAwareDp(tech)
     library = methods[1].library
     for case, net_result in zip(tiny_cases, population.nets):
         frontier = dp.run(case.net, library, case.candidates)

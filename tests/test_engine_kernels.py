@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.dp.pruning import PruningConfig, prune_states, prune_two_dimensional
+from repro.dp.pruning import PruningConfig, prune_states
 from repro.engine import kernels
 from repro.utils.pareto import prune_pareto_2d, prune_pareto_3d
 
@@ -123,21 +123,32 @@ def test_cross_block_boundaries():
 # --------------------------------------------------------------------------- #
 # quality properties at default tolerances
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("strategy", ["full", "bucket"])
+@pytest.mark.parametrize("stage", ["full", "bucket"])
 @pytest.mark.parametrize("seed", range(4))
-def test_prune_states_every_loser_is_dominated(strategy, seed):
+def test_prune_states_every_loser_is_dominated(stage, seed):
+    """``full`` is the whole rule (:func:`prune_states`), ``bucket`` its
+    first stage alone (:func:`kernels.bucket_prune`), whose losers have a
+    dominator inside their own width bucket."""
     rng = np.random.default_rng(300 + seed)
     caps, delays, widths = _random_states(rng, 250)
-    config = PruningConfig(strategy=strategy)
-    kept = prune_states(caps, delays, widths, config)
+    config = PruningConfig()
+    if stage == "full":
+        kept = prune_states(caps, delays, widths, config)
+    else:
+        kept = kernels.bucket_prune(
+            caps,
+            delays,
+            widths,
+            delay_tolerance=config.delay_tolerance,
+            width_tolerance=config.width_tolerance,
+        )
     assert len(kept) > 0
     kept_set = set(kept.tolist())
-    quantum = max(config.width_tolerance, 1e-12)
-    keys = np.round(widths / quantum)
+    keys = np.round(widths / kernels.width_quantum(config.width_tolerance))
     for index in range(len(caps)):
         if index in kept_set:
             continue
-        if strategy == "bucket":
+        if stage == "bucket":
             dominators = (
                 (keys == keys[index])
                 & (caps <= caps[index])
@@ -164,4 +175,4 @@ def test_prune_states_keeps_unique_minima():
 def test_prune_states_vectorized_empty():
     empty = np.empty(0)
     assert len(prune_states(empty, empty, empty, PruningConfig())) == 0
-    assert len(prune_two_dimensional(empty, empty)) == 0
+    assert len(kernels.pareto_two_dimensional(empty, empty, delay_tolerance=0.0)) == 0

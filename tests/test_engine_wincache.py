@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.rip import Rip, RipConfig
+from repro.core.rip import Rip
 from repro.dp.candidates import window_candidates
 from repro.engine.cache import ProtocolConfig, ProtocolStore
 from repro.engine.compiled import CompiledNet
@@ -48,7 +48,8 @@ def test_dp_context_distinguishes_technology_and_pruning(tech):
     base = dp_context_fingerprint(tech, PruningConfig())
     assert base == dp_context_fingerprint(tech, PruningConfig())
     assert base != dp_context_fingerprint(NODE_90NM, PruningConfig())
-    assert base != dp_context_fingerprint(tech, PruningConfig(strategy="bucket"))
+    assert base != dp_context_fingerprint(tech, PruningConfig(width_tolerance=5.0))
+    assert base != dp_context_fingerprint(tech, PruningConfig(delay_tolerance=0.0))
 
 
 # --------------------------------------------------------------------------- #
@@ -168,24 +169,32 @@ def test_rip_repeated_target_hits_all_layers(tech, tiny_cases):
 
 
 def test_rip_shared_cache_across_differing_configs_stays_correct(tech, tiny_cases):
-    # Two inserters with different pruning share one cache; the dp context
-    # keeps their frontier entries apart, so results match their private runs.
+    # A default inserter and one whose injected DP prunes at other
+    # tolerances share one cache.  The dp context is read off each
+    # inserter's DP, so their frontier entries stay apart and every design
+    # matches the inserter's own uncached run.  (RIP's libraries lie on a
+    # 10u grid, where a width tolerance below 10u prunes as the default
+    # does; 15u changes the designs.)
+    from repro.dp.powerdp import PowerAwareDp
     from repro.dp.pruning import PruningConfig
 
-    case = tiny_cases[0]
+    def tolerant_dp():
+        return PowerAwareDp(tech, PruningConfig(width_tolerance=15.0))
+
+    def designs(rip):
+        return [
+            _outcome_key(outcome)
+            for case in tiny_cases
+            for outcome in rip.run_prepared_batch(rip.prepare(case.net), case.targets)
+        ]
+
     shared = WindowCompilationCache()
-    config_bucket = RipConfig(pruning=PruningConfig(strategy="bucket"))
-    rip_a = Rip(tech, window_cache=shared)
-    rip_b = Rip(tech, config_bucket, window_cache=shared)
-    solo_a = Rip(tech, window_cache=False)
-    solo_b = Rip(tech, config_bucket, window_cache=False)
-    target = case.targets[1]
-    assert _outcome_key(
-        rip_a.run_prepared(rip_a.prepare(case.net), target)
-    ) == _outcome_key(solo_a.run_prepared(solo_a.prepare(case.net), target))
-    assert _outcome_key(
-        rip_b.run_prepared(rip_b.prepare(case.net), target)
-    ) == _outcome_key(solo_b.run_prepared(solo_b.prepare(case.net), target))
+    assert designs(Rip(tech, window_cache=shared)) == designs(
+        Rip(tech, window_cache=False)
+    )
+    assert designs(Rip(tech, dp=tolerant_dp(), window_cache=shared)) == designs(
+        Rip(tech, dp=tolerant_dp(), window_cache=False)
+    )
 
 
 # --------------------------------------------------------------------------- #

@@ -2,7 +2,7 @@
 
 The fused core must produce **bit-for-bit** the frontiers of the staged
 per-level core on the vectorized pruning kernels (its one oracle) across
-seeded nets, libraries, pruning strategies and tolerances — including the
+seeded nets, libraries and pruning tolerances — including the
 degenerate shapes: no candidate locations, a single candidate, zero
 tolerances, and huge tolerances that prune every level down to a single
 state.  The whole RIP flow is checked against ``Rip(dp=<staged>,
@@ -47,22 +47,14 @@ def _statistics_signature(result):
     return (stats.num_candidates, stats.library_size, stats.states_generated, stats.max_front_size)
 
 
+# ``full``: the one (C, D, W) dominance rule, at its default tolerances.
 @pytest.mark.parametrize(
-    "strategy, granularity",
-    [
-        # The bucket-only strategy keeps huge fronts on fine libraries, so
-        # it is exercised at coarse granularity only (cost, not coverage).
-        ("full", 10.0),
-        ("full", 40.0),
-        ("full", 130.0),
-        ("bucket", 130.0),
-    ],
+    "granularity", [10.0, 40.0, 130.0], ids=lambda granularity: f"full-{granularity}"
 )
-def test_power_dp_fused_bitwise_equal(cases, strategy, granularity):
+def test_power_dp_fused_bitwise_equal(cases, granularity):
     library = RepeaterLibrary.uniform(10.0, 400.0, granularity)
-    pruning = PruningConfig(strategy=strategy)
-    fused = PowerAwareDp(NODE_180NM, pruning=pruning, core="fused")
-    staged = PowerAwareDp(NODE_180NM, pruning=pruning, core="staged")
+    fused = PowerAwareDp(NODE_180NM, core="fused")
+    staged = PowerAwareDp(NODE_180NM, core="staged")
     for case in cases:
         fast = fused.run(case.net, library, case.candidates)
         slow = staged.run(case.net, library, case.candidates)

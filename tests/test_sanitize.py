@@ -169,16 +169,11 @@ def test_check_front_dominance_flags_handcrafted_front(sanitized):
     widths = np.array([3.0, 3.0])
     with pytest.raises(SanitizeError, match="dominance"):
         sanitize.check_front_dominance(
-            caps, delays, widths, strategy="bucket", width_tolerance=1e-9, where="test"
+            caps, delays, widths, width_tolerance=1e-9, where="test"
         )
     # A genuine trade-off front (delay falls as cap rises) passes.
     sanitize.check_front_dominance(
-        caps,
-        np.array([5.0, 4.0]),
-        widths,
-        strategy="full",
-        width_tolerance=1e-9,
-        where="test",
+        caps, np.array([5.0, 4.0]), widths, width_tolerance=1e-9, where="test"
     )
 
 

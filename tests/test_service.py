@@ -145,6 +145,9 @@ def test_parse_request_defaults(payloads):
         (lambda p: {**p, "tenant": "../etc"}, "tenant"),
         (lambda p: {**p, "technology": "cmos3"}, "unknown technology"),
         (lambda p: {**p, "methods": ["quantum"]}, "unknown method"),
+        (lambda p: {**p, "methods": ["dp-ginf"]}, "finite positive granularity"),
+        (lambda p: {**p, "methods": ["dp-g1"]}, "library of 391 widths"),
+        (lambda p: {**p, "methods": ["tree-g20"]}, "use 'rip' or 'dp-g<granularity>'"),
         (lambda p: {**p, "methods": ["rip", "rip"]}, "unique"),
         (lambda p: {**p, "methods": []}, "non-empty"),
         (lambda p: {k: v for k, v in p.items() if k != "net"}, "'net'"),
@@ -510,7 +513,14 @@ def test_injected_crash_is_isolated_to_its_request(tech, tiny_cases, payloads, m
 def test_envelope_streams_per_line_statuses(tech, payloads):
     bg = serve_in_background(_engine(tech))
     try:
-        envelope = {"requests": [payloads[0], {"bogus": 1}, payloads[0]]}
+        envelope = {
+            "requests": [
+                payloads[0],
+                {"bogus": 1},
+                payloads[0],
+                {**payloads[0], "methods": ["dp-ginf"]},
+            ]
+        }
         conn = http.client.HTTPConnection("127.0.0.1", bg.port, timeout=120)
         conn.request(
             "POST", "/design", body=json.dumps(envelope),
@@ -528,8 +538,10 @@ def test_envelope_streams_per_line_statuses(tech, payloads):
     finally:
         bg.stop()
     by_index = {line["index"]: line for line in lines}
-    assert len(by_index) == 3
+    assert len(by_index) == 4
     assert by_index[1]["status"] == "rejected"
+    assert by_index[3]["status"] == "rejected"
+    assert "granularity" in by_index[3]["error"]
     assert by_index[0]["status"] == "ok"
     assert by_index[2]["status"] == "ok"
     # The two identical entries were deduplicated into one design but both

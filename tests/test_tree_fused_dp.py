@@ -314,30 +314,6 @@ def test_design_engine_htree_population_cores_identical(tech):
         assert net.states_generated == reference[0].statistics.states_generated
 
 
-def test_tree_memo_is_shared_across_two_pin_pruning_configs(tech, tmp_path):
-    """The tree DP never reads two-pin pruning, so engines that differ only
-    there answer each other's tree designs from the shared disk tier."""
-    from repro.dp.pruning import PruningConfig
-
-    cases = build_htree_cases(tech, count=2, levels=2)
-    methods = [MethodSpec.tree_method("tree", RepeaterLibrary.uniform(40.0, 240.0, 40.0))]
-
-    def sweep(pruning):
-        engine = DesignEngine(tech, pruning=pruning, window_cache_dir=str(tmp_path))
-        try:
-            return engine.design_population(cases, methods)
-        finally:
-            engine.close()
-
-    first = sweep(PruningConfig(strategy="bucket"))
-    second = sweep(PruningConfig())
-    assert second.statistics.window_cache.disk_hits == len(cases)
-    assert second.statistics.states_generated == first.statistics.states_generated
-    assert [_record_signature(net) for net in second.nets] == [
-        _record_signature(net) for net in first.nets
-    ]
-
-
 def test_design_engine_htree_parallel_matches_serial(tech):
     """Each pool task carries its tree case, and the worker must reproduce
     the serial run."""
